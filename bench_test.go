@@ -296,10 +296,7 @@ func BenchmarkPropositionBounds(b *testing.B) {
 
 // BenchmarkPoPAuditLive measures one live PoP audit on the public API.
 func BenchmarkPoPAuditLive(b *testing.B) {
-	cluster, err := NewCluster(ClusterConfig{Nodes: 12, Gamma: 3, Seed: 5, Difficulty: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cluster := newLiveCluster(b, WithNodes(12), WithGamma(3), WithSeed(5), WithDifficulty(2))
 	defer cluster.Close()
 	ctx := context.Background()
 	var refs []Ref
@@ -330,10 +327,7 @@ func BenchmarkPoPAuditLive(b *testing.B) {
 // BenchmarkBlockGeneration measures end-to-end block production
 // (Merkle root + PoW + signature) at the default difficulty.
 func BenchmarkBlockGeneration(b *testing.B) {
-	cluster, err := NewCluster(ClusterConfig{Nodes: 6, Gamma: 1, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cluster := newLiveCluster(b, WithNodes(6), WithGamma(1), WithSeed(5))
 	defer cluster.Close()
 	ctx := context.Background()
 	id := cluster.Nodes()[0]

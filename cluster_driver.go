@@ -1,22 +1,15 @@
 package twoldag
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/cluster"
-	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/events"
-	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/ledger"
-	"github.com/twoldag/twoldag/internal/node"
 	"github.com/twoldag/twoldag/internal/topology"
 	"github.com/twoldag/twoldag/internal/transport"
 )
@@ -92,62 +85,51 @@ func (f *tcpFabric) close() error {
 	return first
 }
 
-// Cluster is the live Runtime driver: one node runtime per IoT device
-// exchanging real wire messages over the in-memory fabric or TCP.
+// Cluster is the live Runtime driver: one cluster.Device per IoT
+// device, exchanging real wire messages over the in-memory fabric or
+// TCP and acknowledging announcements through one shared tracker.
 type Cluster struct {
-	topo    *topology.Graph
-	ring    *identity.Ring
-	fab     fabric
-	nodes   map[NodeID]*node.Node
-	ids     []NodeID
-	slot    atomic.Uint32
-	params  block.Params
-	seed    int64
-	gamma   int
-	rto     time.Duration
-	workers int
-	tracker *cluster.AckTracker
-	obs     Observer // user observers (may be nil); tracker added per node
-	plan    faults.Plan
-	retry   faults.RetryPolicy
-
-	// Durability (WithDataDir): one FileBackend per node under
-	// dataDir/node-<id>, kept so Silence can flush + close it and
-	// Restart can recover from it. Each node's WAL is folded into a
-	// snapshot every compactEvery sealed blocks (see maybeCompact).
-	dataDir      string
-	trustCap     int
-	compactEvery int
-	sync         SyncPolicy
-	commitObs    ledger.CommitObserver // user observers that watch WAL commits
-	backends     map[NodeID]*ledger.FileBackend
+	fab fabric
+	// backends holds the running devices by ID; each owns its node
+	// runtime and, with WithDataDir, its FileBackend under
+	// dataDir/node-<id>.
+	backends map[NodeID]*cluster.Device
+	ids      []NodeID
+	slot     atomic.Uint32
+	seed     int64
+	workers  int
+	dataDir  string
+	// dev is the per-device template: shared parameters, topology, key
+	// ring, observers, the ack tracker and the durability policy.
+	dev cluster.DeviceConfig
 }
 
 var _ Runtime = (*Cluster)(nil)
 
 // newCluster builds and starts the live driver: keys, transports and
-// one node runtime per device of the resolved topology.
+// one device per node of the resolved topology.
 func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 	c := &Cluster{
-		topo:    g,
-		nodes:   make(map[NodeID]*node.Node, g.Len()),
-		ids:     g.Nodes(),
-		params:  cfg.params,
-		seed:    cfg.seed,
-		gamma:   cfg.gamma,
-		rto:     cfg.rto,
-		workers: cfg.workers,
-		tracker: cluster.NewAckTracker(),
-		obs:     events.Multi(cfg.observers...),
-		plan:    cfg.faultPlan,
-		retry:   cfg.retry,
-
-		dataDir:      cfg.dataDir,
-		trustCap:     cfg.trustCap,
-		compactEvery: cfg.compactEvery,
-		sync:         cfg.syncPolicy,
-		commitObs:    commitObservers(cfg.observers),
-		backends:     make(map[NodeID]*ledger.FileBackend),
+		backends: make(map[NodeID]*cluster.Device, g.Len()),
+		ids:      g.Nodes(),
+		seed:     cfg.seed,
+		workers:  cfg.workers,
+		dataDir:  cfg.dataDir,
+	}
+	c.dev = cluster.DeviceConfig{
+		Params:         cfg.params,
+		Topo:           g,
+		Clock:          c.slot.Load,
+		Live:           c.running,
+		Gamma:          cfg.gamma,
+		RequestTimeout: cfg.rto,
+		Retry:          cfg.retry,
+		Plan:           cfg.faultPlan,
+		Observer:       events.Multi(cfg.observers...),
+		Tracker:        cluster.NewAckTracker(),
+		TrustCap:       cfg.trustCap,
+		CompactEvery:   cfg.compactEvery,
+		Sync:           cfg.syncPolicy,
 	}
 	switch cfg.transport {
 	case TCP:
@@ -163,9 +145,9 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("twoldag: %w", err)
 	}
-	c.ring = ring
+	c.dev.Ring = ring
 	for _, kp := range pairs {
-		if err := c.startNode(kp); err != nil {
+		if err := c.startDevice(kp); err != nil {
 			_ = c.Close()
 			return nil, err
 		}
@@ -173,85 +155,30 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 	return c, nil
 }
 
-// startNode creates the transport and runtime for one device.
-func (c *Cluster) startNode(kp identity.KeyPair) error {
+// startDevice creates the transport and device for one node.
+func (c *Cluster) startDevice(kp identity.KeyPair) error {
 	ep, err := c.fab.endpoint(kp.ID)
 	if err != nil {
 		return fmt.Errorf("twoldag: %w", err)
 	}
-	// User observers run before the tracker: the tracker's ack is
-	// what unblocks a waiting Submit/SubmitBatch, so ordering it
-	// last guarantees every user observer has already seen a
-	// delivery by the time the submitter returns.
-	obs := events.Multi(c.obs, c.tracker)
-	if tn, ok := ep.(*transport.TCPNode); ok {
-		// TCP cannot report receiver-side backpressure to the sender;
-		// surface each inbound inbox-full loss as a MessageDropped.
-		self := kp.ID
-		tn.SetDropHandler(func(env transport.Envelope) {
-			if obs != nil {
-				obs.OnMessageDropped(events.MessageDropped{
-					From: env.From, To: self, Kind: uint8(env.Msg.Kind),
-					Reason: events.DropBackpressure,
-				})
-			}
-		})
-	}
-	tr := transport.Transport(ep)
-	if c.plan.Active() {
-		slot := &c.slot
-		tr = faults.Wrap(ep, c.plan, func() uint32 { return slot.Load() }, obs)
-	}
-	var state *ledger.NodeState
-	var backend ledger.Backend
+	cfg := c.dev
+	cfg.Key, cfg.Transport = kp, ep
 	if c.dataDir != "" {
-		bopts := []ledger.BackendOption{ledger.WithSyncPolicy(c.sync)}
-		if c.commitObs != nil {
-			bopts = append(bopts, ledger.WithCommitObserver(c.commitObs))
-		}
-		fb, err := ledger.OpenFileBackend(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", kp.ID)), bopts...)
-		if err != nil {
-			return fmt.Errorf("twoldag: node %v: %w", kp.ID, err)
-		}
-		state, err = fb.Recover(ledger.RecoverOptions{
-			Owner:    kp.ID,
-			Params:   c.params,
-			Ring:     c.ring,
-			TrustCap: c.trustCap,
-		})
-		if err != nil {
-			_ = fb.Close()
-			return fmt.Errorf("twoldag: recovering node %v: %w", kp.ID, err)
-		}
-		c.backends[kp.ID] = fb
-		backend = fb
+		cfg.DataDir = filepath.Join(c.dataDir, fmt.Sprintf("node-%d", kp.ID))
 	}
-	n, err := node.New(node.Config{
-		Key:            kp,
-		Params:         c.params,
-		Topo:           c.topo,
-		Ring:           c.ring,
-		Transport:      tr,
-		Gamma:          c.gamma,
-		RequestTimeout: c.rto,
-		Retry:          c.retry,
-		Health:         faults.NewHealth(kp.ID, 0, obs),
-		Observer:       obs,
-		State:          state,
-		TrustCap:       c.trustCap,
-		Backend:        backend,
-	})
+	d, err := cluster.NewDevice(cfg)
 	if err != nil {
-		if fb := c.backends[kp.ID]; fb != nil {
-			_ = fb.Close()
-			delete(c.backends, kp.ID)
-		}
-		return fmt.Errorf("twoldag: starting node %v: %w", kp.ID, err)
+		_ = c.fab.remove(kp.ID)
+		return fmt.Errorf("twoldag: %w", err)
 	}
-	slot := &c.slot
-	n.SetClock(func() uint32 { return slot.Load() })
-	c.nodes[kp.ID] = n
+	c.backends[kp.ID] = d
 	return nil
+}
+
+// running reports whether id runs a device.
+func (c *Cluster) running(id NodeID) bool {
+	_, ok := c.backends[id]
+	return ok
 }
 
 // Nodes implements Runtime.
@@ -260,7 +187,7 @@ func (c *Cluster) Nodes() []NodeID {
 }
 
 // Topology implements Runtime.
-func (c *Cluster) Topology() *Topology { return c.topo }
+func (c *Cluster) Topology() *Topology { return c.dev.Topo }
 
 // AdvanceSlot implements Runtime.
 func (c *Cluster) AdvanceSlot() { c.slot.Add(1) }
@@ -268,131 +195,14 @@ func (c *Cluster) AdvanceSlot() { c.slot.Add(1) }
 // Slot implements Runtime.
 func (c *Cluster) Slot() uint32 { return c.slot.Load() }
 
-// liveNeighbors returns id's radio neighbors that still run a node.
-func (c *Cluster) liveNeighbors(id NodeID) []NodeID {
-	nbs := c.topo.Neighbors(id)
-	out := nbs[:0]
-	for _, nb := range nbs {
-		if _, ok := c.nodes[nb]; ok {
-			out = append(out, nb)
-		}
-	}
-	return out
-}
-
-// maybeCompact folds a node's WAL into a fresh snapshot once the
-// block-record threshold is reached — mirroring cluster.Host's seal
-// path, so a long-lived facade run bounds wal.log growth and the
-// recovery replay tail instead of accumulating every block since
-// start. Runs on the submitter's goroutine right after a seal;
-// concurrent compactions coalesce inside the backend.
-func (c *Cluster) maybeCompact(id NodeID) {
-	fb, ok := c.backends[id]
-	if !ok {
-		return
-	}
-	every := c.compactEvery
-	if every <= 0 {
-		every = cluster.DefaultCompactEvery
-	}
-	if fb.PendingBlocks() < every {
-		return
-	}
-	n := c.nodes[id]
-	_ = fb.Compact(func() (*ledger.NodeState, error) {
-		return n.Engine().State(), nil
-	})
-}
-
-// ackCtx bounds an acknowledgement wait: the caller's deadline rules
-// when present; otherwise the configured request timeout applies.
-func (c *Cluster) ackCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, c.rto)
-}
-
-// awaitAck blocks until every expected neighbor acknowledged d.
-func (c *Cluster) awaitAck(ctx context.Context, origin NodeID, d Digest, w *cluster.Waiter) error {
-	return c.tracker.Await(ctx, origin, d, w)
-}
-
-// awaitAckRetry is awaitAck with the configured retry policy: each
-// missing acknowledgement re-sends the digest — only to the neighbors
-// still pending, as a singleton frame — after an exponential backoff,
-// up to MaxAttempts total announcement rounds. Retries are ack-driven,
-// never blind: a loss-free run sends exactly one frame per link and
-// takes the plain awaitAck path.
-func (c *Cluster) awaitAckRetry(ctx context.Context, n *node.Node, d Digest, w *cluster.Waiter) error {
-	return c.tracker.AwaitRetry(ctx, n.ID(), d, w, c.retry, c.obs, func(ctx context.Context, nb NodeID, d Digest) {
-		n.AnnounceTo(ctx, nb, d)
-	})
-}
-
-// commitWindow closes a durable node's open WAL commit window before
-// its digests go on the wire. Only the batched policy commits at the
-// flush boundary: SyncAlways already committed per block at seal time
-// (an extra fsync here would tax the default path), and SyncInterval
-// is deliberately decoupled from flushes.
-func (c *Cluster) commitWindow(n *node.Node) error {
-	if !c.sync.Batched() {
-		return nil
-	}
-	return n.CommitJournal()
-}
-
-// commitObservers collects the user observers that also implement
-// ledger.CommitObserver (e.g. *metrics.EventCounters), so WAL commit
-// windows surface on the same scrape as the event counters.
-func commitObservers(obs []Observer) ledger.CommitObserver {
-	var cos multiCommitObserver
-	for _, o := range obs {
-		if co, ok := o.(ledger.CommitObserver); ok {
-			cos = append(cos, co)
-		}
-	}
-	switch len(cos) {
-	case 0:
-		return nil
-	case 1:
-		return cos[0]
-	default:
-		return cos
-	}
-}
-
-type multiCommitObserver []ledger.CommitObserver
-
-func (m multiCommitObserver) OnWALCommit(blocks int, bytes int64) {
-	for _, o := range m {
-		o.OnWALCommit(blocks, bytes)
-	}
-}
-
 // Submit implements Runtime: seal, announce, and wait for every live
 // neighbor's acknowledgement (event-driven — see cluster.AckTracker).
 func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, error) {
-	n, ok := c.nodes[id]
-	if !ok {
-		return Ref{}, fmt.Errorf("twoldag: unknown node %v", id)
-	}
-	b, d, err := n.GenerateLocal(data)
-	if err != nil {
+	refs, err := c.SubmitBatch(ctx, []Submission{{Node: id, Data: data}})
+	if len(refs) == 0 {
 		return Ref{}, err
 	}
-	c.maybeCompact(id)
-	if err := c.commitWindow(n); err != nil {
-		return b.Header.Ref(), err
-	}
-	w := c.tracker.Expect(d, c.liveNeighbors(id))
-	actx, cancel := c.ackCtx(ctx)
-	defer cancel()
-	n.Announce(actx, d)
-	if err := c.awaitAckRetry(actx, n, d, w); err != nil {
-		return b.Header.Ref(), err
-	}
-	return b.Header.Ref(), nil
+	return refs[0], err
 }
 
 // SubmitBatch implements Runtime: all blocks are sealed first, then
@@ -402,87 +212,49 @@ func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, erro
 // instead of one per sealed block — and the acknowledgements are
 // awaited together, amortizing the wait over the whole slot.
 func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, error) {
-	type flush struct {
-		n *node.Node
-		d Digest
-		w *cluster.Waiter
-	}
 	refs := make([]Ref, 0, len(batch))
-	flushes := make([]flush, 0, len(batch))
-	fail := func(err error) ([]Ref, error) {
-		for _, f := range flushes {
-			c.tracker.Cancel(f.d)
-		}
-		return refs, err
-	}
-	for _, sub := range batch {
-		n, ok := c.nodes[sub.Node]
-		if !ok {
-			return fail(fmt.Errorf("twoldag: unknown node %v", sub.Node))
-		}
-		b, d, err := n.GenerateLocal(sub.Data)
-		if err != nil {
-			return fail(err)
-		}
-		c.maybeCompact(sub.Node)
-		refs = append(refs, b.Header.Ref())
-		flushes = append(flushes, flush{n: n, d: d, w: c.tracker.Expect(d, c.liveNeighbors(sub.Node))})
-	}
 	// Coalesce outbound announcements per sender, preserving seal
 	// order within each sender's run so the receiver's A_i ends on the
 	// newest digest.
-	bySender := make(map[NodeID][]Digest, len(flushes))
-	senders := make([]*node.Node, 0, len(flushes))
-	for _, f := range flushes {
-		id := f.n.ID()
-		if _, seen := bySender[id]; !seen {
-			senders = append(senders, f.n)
+	bySender := make(map[NodeID][]Digest, len(batch))
+	senders := make([]*cluster.Device, 0, len(batch))
+	for _, sub := range batch {
+		d, ok := c.backends[sub.Node]
+		if !ok {
+			return refs, fmt.Errorf("twoldag: unknown node %v", sub.Node)
 		}
-		bySender[id] = append(bySender[id], f.d)
+		ref, dg, err := d.Seal(sub.Data)
+		if err != nil {
+			return refs, err
+		}
+		refs = append(refs, ref)
+		if _, seen := bySender[sub.Node]; !seen {
+			senders = append(senders, d)
+		}
+		bySender[sub.Node] = append(bySender[sub.Node], dg)
 	}
-	actx, cancel := c.ackCtx(ctx)
+	actx, cancel := cluster.AckContext(ctx, c.dev.RequestTimeout)
 	defer cancel()
-	for _, n := range senders {
-		if err := c.commitWindow(n); err != nil {
-			return fail(err)
+	var acks cluster.Acks
+	for _, d := range senders {
+		if err := d.Announce(actx, bySender[d.ID()], &acks); err != nil {
+			acks.Cancel()
+			return refs, err
 		}
-		n.AnnounceBatch(actx, bySender[n.ID()])
 	}
-	if c.retry.Enabled() {
-		// Await concurrently so every flush's retry clock runs at once;
-		// sequential waits would serialize the backoffs.
-		errs := make([]error, len(flushes))
-		var wg sync.WaitGroup
-		for i, f := range flushes {
-			wg.Add(1)
-			go func(i int, f flush) {
-				defer wg.Done()
-				errs[i] = c.awaitAckRetry(actx, f.n, f.d, f.w)
-			}(i, f)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return fail(err)
-			}
-		}
-		return refs, nil
-	}
-	for _, f := range flushes {
-		if err := c.awaitAck(actx, f.n.ID(), f.d, f.w); err != nil {
-			return fail(err)
-		}
+	if err := acks.Await(actx); err != nil {
+		return refs, err
 	}
 	return refs, nil
 }
 
 // Audit implements Runtime.
 func (c *Cluster) Audit(ctx context.Context, validator NodeID, ref Ref) (*AuditResult, error) {
-	n, ok := c.nodes[validator]
+	d, ok := c.backends[validator]
 	if !ok {
 		return nil, fmt.Errorf("twoldag: unknown validator %v", validator)
 	}
-	return n.Audit(ctx, ref)
+	return d.Audit(ctx, ref)
 }
 
 // AuditMany implements Runtime: audits fan out over a worker pool
@@ -502,11 +274,11 @@ func (c *Cluster) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOut
 // Block implements Runtime. The returned block is shared, sealed
 // store state — treat it as read-only and Clone it before mutating.
 func (c *Cluster) Block(ref Ref) (*Block, error) {
-	n, ok := c.nodes[ref.Node]
+	d, ok := c.backends[ref.Node]
 	if !ok {
 		return nil, fmt.Errorf("twoldag: unknown node %v", ref.Node)
 	}
-	return n.Engine().Store().Get(ref.Seq)
+	return d.Block(ref)
 }
 
 // ProveSample builds an inclusion proof for the i-th body chunk of the
@@ -516,7 +288,7 @@ func (c *Cluster) ProveSample(ref Ref, leafIndex int) (*SampleProof, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.params.ProveSample(b, leafIndex)
+	return c.dev.Params.ProveSample(b, leafIndex)
 }
 
 // VerifySample checks a sample proof against the header established by
@@ -525,7 +297,7 @@ func (c *Cluster) VerifySample(res *AuditResult, sp *SampleProof) error {
 	if !res.Consensus || len(res.Path) == 0 {
 		return fmt.Errorf("twoldag: audit of %v did not reach consensus", res.Target)
 	}
-	return c.params.VerifySample(res.Path[0].Header, sp)
+	return c.dev.Params.VerifySample(res.Path[0].Header, sp)
 }
 
 // Join implements Runtime (the paper's Sec. VII dynamic-membership
@@ -533,18 +305,15 @@ func (c *Cluster) VerifySample(res *AuditResult, sp *SampleProof) error {
 // newest live device, registered in the key ring, and starts serving
 // immediately.
 func (c *Cluster) Join() (NodeID, error) {
-	id, err := placeJoiner(c.topo, c.ids, func(id NodeID) bool {
-		_, ok := c.nodes[id]
-		return ok
-	})
+	id, err := placeJoiner(c.dev.Topo, c.ids, c.running)
 	if err != nil {
 		return 0, err
 	}
 	kp := identity.Deterministic(id, c.seed)
-	if err := c.ring.Register(kp.ID, kp.Public); err != nil {
+	if err := c.dev.Ring.Register(kp.ID, kp.Public); err != nil {
 		return 0, fmt.Errorf("twoldag: registering joiner: %w", err)
 	}
-	if err := c.startNode(kp); err != nil {
+	if err := c.startDevice(kp); err != nil {
 		return 0, fmt.Errorf("twoldag: joiner: %w", err)
 	}
 	c.ids = append(c.ids, id)
@@ -558,18 +327,12 @@ func (c *Cluster) Join() (NodeID, error) {
 // silent is on disk, and Restart can bring it back from exactly that
 // state.
 func (c *Cluster) Silence(id NodeID) error {
-	n, ok := c.nodes[id]
+	d, ok := c.backends[id]
 	if !ok {
 		return fmt.Errorf("twoldag: unknown node %v", id)
 	}
-	delete(c.nodes, id)
-	err := n.Close()
-	if fb, ok := c.backends[id]; ok {
-		delete(c.backends, id)
-		if cerr := fb.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	delete(c.backends, id)
+	err := d.Close()
 	if rerr := c.fab.remove(id); rerr != nil && err == nil {
 		err = rerr
 	}
@@ -587,7 +350,7 @@ func (c *Cluster) Restart(id NodeID) error {
 	if c.dataDir == "" {
 		return fmt.Errorf("twoldag: Restart(%v) requires WithDataDir", id)
 	}
-	if _, running := c.nodes[id]; running {
+	if c.running(id) {
 		return fmt.Errorf("twoldag: node %v is still running", id)
 	}
 	known := false
@@ -600,36 +363,26 @@ func (c *Cluster) Restart(id NodeID) error {
 	if !known {
 		return fmt.Errorf("twoldag: unknown node %v", id)
 	}
-	return c.startNode(identity.Deterministic(id, c.seed))
+	return c.startDevice(identity.Deterministic(id, c.seed))
 }
 
 // StateDigest returns a canonical digest over a node's whole ledger
 // state — the snapshot-v2 serialization of (S_i, H_i, A_i, trust cap)
 // — for byte-identity checks across crash/recovery boundaries.
 func (c *Cluster) StateDigest(id NodeID) (Digest, error) {
-	n, ok := c.nodes[id]
+	d, ok := c.backends[id]
 	if !ok {
 		return Digest{}, fmt.Errorf("twoldag: unknown node %v", id)
 	}
-	var buf bytes.Buffer
-	if err := n.Engine().State().WriteSnapshot(&buf); err != nil {
-		return Digest{}, err
-	}
-	return digest.Sum(buf.Bytes()), nil
+	return d.StateDigest()
 }
 
-// Close implements Runtime: every node stops, backends flush and
-// close, then the fabric.
+// Close implements Runtime: every device stops (node, then backend),
+// then the fabric.
 func (c *Cluster) Close() error {
 	var first error
-	for id, n := range c.nodes {
-		if err := n.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(c.nodes, id)
-	}
-	for id, fb := range c.backends {
-		if err := fb.Close(); err != nil && first == nil {
+	for id, d := range c.backends {
+		if err := d.Close(); err != nil && first == nil {
 			first = err
 		}
 		delete(c.backends, id)

@@ -1,10 +1,20 @@
-// Package cluster hosts live 2LDAG deployments: the shared
-// announcement acknowledgement tracker and joiner-placement rules used
-// by every live driver, and the single-node Host that runs one device
-// per OS process in a cross-host cluster — discovering peers over the
-// wire (Hello/PeerList), re-anchoring joiners exactly as the
-// in-process drivers do, and exposing the slot/seal/flush/audit verbs
-// a distributed harness drives over its control protocol.
+// Package cluster runs live 2LDAG devices. It is layered in three:
+//
+//   - Device is one IoT device: the node runtime that seals S_i, keeps
+//     its neighbors' digests A_i, acknowledges announcements and
+//     answers PoP requests, plus its fault-wrapped transport, its
+//     optional durable backend (WAL + snapshot, recovered on start),
+//     WAL compaction, the batched-sync commit point, the announce →
+//     acknowledge wait (AckTracker, Acks) and one close order.
+//   - Host is one Device per OS process in a cross-host cluster: the
+//     device behind its own TCP listener, a membership directory kept
+//     over the wire (Hello/PeerList/Leave), joiner placement shared
+//     with the in-process drivers, and the slot/seal/flush/audit verbs
+//     a distributed harness drives over its control protocol.
+//   - The public facade's Cluster (package twoldag) is many Devices in
+//     one process on a shared fabric — in-memory or loopback TCP — with
+//     one AckTracker fed by the receivers' own delivery events, where
+//     Hosts acknowledge with wire-level DigestAck frames.
 package cluster
 
 import (

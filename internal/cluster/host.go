@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
-	"github.com/twoldag/twoldag/internal/node"
 	"github.com/twoldag/twoldag/internal/pow"
 	"github.com/twoldag/twoldag/internal/topology"
 	"github.com/twoldag/twoldag/internal/transport"
@@ -88,11 +86,6 @@ type Config struct {
 	Sync ledger.SyncPolicy
 }
 
-// DefaultCompactEvery is the WAL compaction threshold (in block
-// records) when Config.CompactEvery is zero — shared with the facade
-// driver so both seal paths bound their replay tails identically.
-const DefaultCompactEvery = 256
-
 // member is one directory entry.
 type member struct {
 	live   bool
@@ -100,26 +93,23 @@ type member struct {
 	anchor identity.NodeID // wire.NoAnchor for planned members
 }
 
-// Host runs one 2LDAG device in this process as part of a cross-host
-// cluster: a node over real TCP, a membership directory maintained via
-// Hello/PeerList/Leave frames, and the slot/seal/flush/audit verbs a
-// distributed driver needs. Verbs are safe for the documented Runtime
-// concurrency: audits may run concurrently, membership changes and
-// submissions must not race each other.
+// Host runs one 2LDAG Device in this process as part of a cross-host
+// cluster: the device behind its own TCP listener, a membership
+// directory maintained via Hello/PeerList/Leave frames, and the
+// slot/seal/flush/audit verbs a distributed driver needs. Verbs are
+// safe for the documented Runtime concurrency: audits may run
+// concurrently, membership changes and submissions must not race each
+// other.
 type Host struct {
-	cfg     Config
-	id      identity.NodeID
-	anchor  identity.NodeID
-	pos     topology.Point
-	topo    *topology.Graph
-	ring    *identity.Ring
-	node    *node.Node
-	tn      *transport.TCPNode
-	tracker *AckTracker
-	health  *faults.Health
-	obs     events.Observer // merged user observer + tracker
-	backend *ledger.FileBackend
-	slot    atomic.Uint32
+	*Device
+	cfg    Config
+	id     identity.NodeID
+	anchor identity.NodeID
+	pos    topology.Point
+	topo   *topology.Graph
+	ring   *identity.Ring
+	tn     *transport.TCPNode
+	slot   atomic.Uint32
 
 	mu      sync.Mutex
 	members map[identity.NodeID]*member
@@ -174,7 +164,6 @@ func Start(cfg Config) (*Host, error) {
 		anchor:  wire.NoAnchor,
 		topo:    topo,
 		ring:    identity.NewRing(),
-		tracker: NewAckTracker(),
 		members: make(map[identity.NodeID]*member, cfg.Nodes),
 	}
 	if cfg.Join {
@@ -240,18 +229,21 @@ func Start(cfg Config) (*Host, error) {
 		h.pos, _ = topo.Position(h.id)
 	}
 
-	if err := h.startNode(); err != nil {
-		return nil, err
+	err = h.startDevice()
+	if err == nil {
+		if err = h.announceSelf(); err != nil {
+			_ = h.Device.Close()
+		}
 	}
-	if err := h.announceSelf(); err != nil {
-		_ = h.node.Close()
+	if err != nil {
+		h.cancel()
 		return nil, err
 	}
 	return h, nil
 }
 
-// startNode brings up the transport and node runtime.
-func (h *Host) startNode() error {
+// startDevice opens the TCP listener and brings the device up on it.
+func (h *Host) startDevice() error {
 	var opts []transport.TCPOption
 	if h.cfg.Advertise != "" {
 		opts = append(opts, transport.WithAdvertiseAddr(h.cfg.Advertise))
@@ -273,87 +265,33 @@ func (h *Host) startNode() error {
 	}
 	h.mu.Unlock()
 
-	// User observers run before the tracker: the tracker's ack is what
-	// unblocks a waiting Flush, so ordering it last guarantees every
-	// user observer has already seen a delivery by the time the
-	// submitter returns.
-	obs := events.Multi(h.cfg.Observer, h.tracker)
-	self := h.id
-	tn.SetDropHandler(func(env transport.Envelope) {
-		obs.OnMessageDropped(events.MessageDropped{
-			From: env.From, To: self, Kind: uint8(env.Msg.Kind),
-			Reason: events.DropBackpressure,
-		})
-	})
-	h.obs = obs
-	h.health = faults.NewHealth(h.id, 0, obs)
-
 	params := block.DefaultParams()
 	params.Difficulty = pow.Difficulty(h.cfg.Difficulty)
-	tr := transport.Transport(tn)
-	if h.cfg.Plan.Active() {
-		slot := &h.slot
-		tr = faults.Wrap(tn, h.cfg.Plan, func() uint32 { return slot.Load() }, obs)
-	}
-
-	// Durability: open the data dir and recover the whole prior state
-	// — snapshot, then WAL replay with cryptographic re-verification
-	// against the ring — before the node serves any traffic.
-	var state *ledger.NodeState
-	var backend ledger.Backend
-	if h.cfg.DataDir != "" {
-		bopts := []ledger.BackendOption{ledger.WithSyncPolicy(h.cfg.Sync)}
-		if co, ok := h.cfg.Observer.(ledger.CommitObserver); ok {
-			bopts = append(bopts, ledger.WithCommitObserver(co))
-		}
-		fb, err := ledger.OpenFileBackend(h.cfg.DataDir, bopts...)
-		if err != nil {
-			tn.Close()
-			return err
-		}
-		state, err = fb.Recover(ledger.RecoverOptions{
-			Owner:    h.id,
-			Params:   params,
-			Ring:     h.ring,
-			TrustCap: h.cfg.TrustCap,
-		})
-		if err != nil {
-			_ = fb.Close()
-			tn.Close()
-			return fmt.Errorf("cluster: recovering %s: %w", h.cfg.DataDir, err)
-		}
-		h.backend = fb
-		backend = fb
-	}
-
-	n, err := node.New(node.Config{
+	dev, err := NewDevice(DeviceConfig{
 		Key:            identity.Deterministic(h.id, h.cfg.Seed),
 		Params:         params,
 		Topo:           h.topo,
 		Ring:           h.ring,
-		Transport:      tr,
+		Transport:      tn,
+		Clock:          h.slot.Load,
+		Live:           h.isLive,
 		Gamma:          h.cfg.Gamma,
 		RequestTimeout: h.cfg.RequestTimeout,
 		Retry:          h.cfg.Retry,
-		Health:         h.health,
-		Observer:       obs,
+		Plan:           h.cfg.Plan,
+		Observer:       h.cfg.Observer,
+		Tracker:        NewAckTracker(),
 		Control:        h.onControl,
-		State:          state,
-		TrustCap:       h.cfg.TrustCap,
-		Backend:        backend,
 		AnnounceAcks:   true,
+		DataDir:        h.cfg.DataDir,
+		TrustCap:       h.cfg.TrustCap,
+		CompactEvery:   h.cfg.CompactEvery,
+		Sync:           h.cfg.Sync,
 	})
 	if err != nil {
-		if h.backend != nil {
-			_ = h.backend.Close()
-			h.backend = nil
-		}
-		tn.Close()
-		return fmt.Errorf("cluster: %w", err)
+		return err
 	}
-	slot := &h.slot
-	n.SetClock(func() uint32 { return slot.Load() })
-	h.node = n
+	h.Device = dev
 	tn.SetBootstrapHandler(h.onBootstrap)
 	return nil
 }
@@ -537,9 +475,6 @@ func (h *Host) onControl(env transport.Envelope) {
 	}
 }
 
-// ID returns this host's device identity.
-func (h *Host) ID() identity.NodeID { return h.id }
-
 // Addr returns the address peers are told to dial.
 func (h *Host) Addr() string { return h.tn.AdvertiseAddr() }
 
@@ -580,18 +515,12 @@ func (h *Host) MarkDead(id identity.NodeID) {
 	h.tn.RemovePeer(id)
 }
 
-// liveNeighbors returns this node's radio neighbors believed running.
-func (h *Host) liveNeighbors() []identity.NodeID {
-	nbs := h.topo.Neighbors(h.id)
+// isLive reports whether the directory believes id is running.
+func (h *Host) isLive(id identity.NodeID) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := nbs[:0]
-	for _, nb := range nbs {
-		if m, ok := h.members[nb]; ok && m.live {
-			out = append(out, nb)
-		}
-	}
-	return out
+	m, ok := h.members[id]
+	return ok && m.live
 }
 
 // begin registers an in-flight verb; Close drains them.
@@ -630,32 +559,7 @@ func (h *Host) Seal(data []byte) (block.Ref, digest.Digest, error) {
 		return block.Ref{}, digest.Digest{}, err
 	}
 	defer h.wg.Done()
-	b, d, err := h.node.GenerateLocal(data)
-	if err != nil {
-		return block.Ref{}, digest.Digest{}, err
-	}
-	h.maybeCompact()
-	return b.Header.Ref(), d, nil
-}
-
-// maybeCompact folds the WAL into a snapshot once the block-record
-// threshold is reached. Runs inside the Seal verb (h.wg held), so
-// Close never races the backend away mid-compaction; concurrent
-// compactions coalesce inside the backend.
-func (h *Host) maybeCompact() {
-	if h.backend == nil {
-		return
-	}
-	every := h.cfg.CompactEvery
-	if every <= 0 {
-		every = DefaultCompactEvery
-	}
-	if h.backend.PendingBlocks() < every {
-		return
-	}
-	_ = h.backend.Compact(func() (*ledger.NodeState, error) {
-		return h.node.Engine().State(), nil
-	})
+	return h.Device.Seal(data)
 }
 
 // Compact forces a WAL compaction now (no-op without a data dir) —
@@ -665,45 +569,7 @@ func (h *Host) Compact() error {
 		return err
 	}
 	defer h.wg.Done()
-	if h.backend == nil {
-		return nil
-	}
-	return h.backend.Compact(func() (*ledger.NodeState, error) {
-		return h.node.Engine().State(), nil
-	})
-}
-
-// RecoveryReport returns what startup recovery read from the data dir;
-// ok is false without one. A true TornTail means the previous run's
-// final, never-acknowledged WAL record was discarded — worth a log
-// line, never an error.
-func (h *Host) RecoveryReport() (ledger.RecoveryReport, bool) {
-	if h.backend == nil {
-		return ledger.RecoveryReport{}, false
-	}
-	return h.backend.RecoveryReport(), true
-}
-
-// Latest returns the ref and digest of this node's newest sealed
-// block. ok is false for an empty store — a fresh node, or one whose
-// data dir held nothing.
-func (h *Host) Latest() (ref block.Ref, d digest.Digest, ok bool) {
-	b := h.node.Engine().Store().Latest()
-	if b == nil {
-		return block.Ref{}, digest.Digest{}, false
-	}
-	return b.Header.Ref(), b.Header.Hash(), true
-}
-
-// StateDigest returns a canonical digest over the node's whole ledger
-// state — the snapshot-v2 serialization of (S_i, H_i, A_i, trust cap)
-// — for byte-identity checks across crash/recovery boundaries.
-func (h *Host) StateDigest() (digest.Digest, error) {
-	var buf bytes.Buffer
-	if err := h.node.Engine().State().WriteSnapshot(&buf); err != nil {
-		return digest.Digest{}, err
-	}
-	return digest.Sum(buf.Bytes()), nil
+	return h.Device.Compact()
 }
 
 // Flush announces previously sealed digests (in seal order) to every
@@ -718,47 +584,13 @@ func (h *Host) Flush(ctx context.Context, ds []digest.Digest) error {
 	if len(ds) == 0 {
 		return nil
 	}
-	// Under a batched sync policy this is the commit point: the whole
-	// slot's block records become durable in one fsync before any
-	// neighbor learns their digests — write-ahead at window
-	// granularity. (SyncAlways committed per block at seal time;
-	// SyncInterval is deliberately decoupled from flushes.)
-	if h.cfg.Sync.Batched() {
-		if err := h.node.CommitJournal(); err != nil {
-			return err
-		}
-	}
-	nbs := h.liveNeighbors()
-	waiters := make([]*Waiter, len(ds))
-	for i, d := range ds {
-		waiters[i] = h.tracker.Expect(d, nbs)
-	}
 	actx, cancel := h.opCtx(ctx)
 	defer cancel()
-	h.node.AnnounceBatch(actx, ds)
-	resend := func(ctx context.Context, nb identity.NodeID, d digest.Digest) {
-		h.node.AnnounceTo(ctx, nb, d)
+	var acks Acks
+	if err := h.Announce(actx, ds, &acks); err != nil {
+		return err
 	}
-	// Await concurrently so every digest's retry clock runs at once.
-	errs := make([]error, len(ds))
-	var wg sync.WaitGroup
-	for i := range ds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = h.tracker.AwaitRetry(actx, h.id, ds[i], waiters[i], h.cfg.Retry, h.obs, resend)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			for _, d := range ds[i:] {
-				h.tracker.Cancel(d)
-			}
-			return err
-		}
-	}
-	return nil
+	return acks.Await(actx)
 }
 
 // Submit seals and flushes one block — the single-shot verb.
@@ -781,27 +613,17 @@ func (h *Host) Audit(ctx context.Context, ref block.Ref) (*core.Result, error) {
 	defer h.wg.Done()
 	actx, cancel := h.opCtx(ctx)
 	defer cancel()
-	return h.node.Audit(actx, ref)
-}
-
-// Block fetches a sealed block from this node's own store (read-only).
-func (h *Host) Block(ref block.Ref) (*block.Block, error) {
-	if ref.Node != h.id {
-		return nil, fmt.Errorf("cluster: block %v is not local to %v", ref, h.id)
-	}
-	return h.node.Engine().Store().Get(ref.Seq)
+	return h.Device.Audit(actx, ref)
 }
 
 // Close shuts the host down gracefully, in strict order: stop
 // accepting verbs, cancel and drain every in-flight one (their retry
 // loops are bounded by the policy cap and their contexts are dead),
-// flush + fsync and close the durability backend — every accepted
-// block is on disk before any peer learns we are leaving — then
-// broadcast Leave so peers mark this node dead immediately instead of
-// waiting for their health trackers, and finally close the node —
-// which closes the RPC layer, the transport and the listener. Journal
-// writes from frames that arrive between backend close and node close
-// are dropped (ErrBackendClosed): nothing a departing node must keep.
+// commit the durability backend — every accepted block is on disk
+// before any peer learns we are leaving — then broadcast Leave so peers
+// mark this node dead immediately instead of waiting for their health
+// trackers, and finally close the device: the node with its RPC layer,
+// transport and listener, then the backend.
 func (h *Host) Close() error {
 	h.closeMu.Lock()
 	defer h.closeMu.Unlock()
@@ -813,14 +635,9 @@ func (h *Host) Close() error {
 	h.verbMu.Unlock()
 	h.cancel()
 	h.wg.Wait()
-	var backendErr error
+	var syncErr error
 	if h.backend != nil {
-		if err := h.backend.Sync(); err != nil {
-			backendErr = err
-		}
-		if err := h.backend.Close(); err != nil && backendErr == nil {
-			backendErr = err
-		}
+		syncErr = h.backend.Sync()
 	}
 	lctx, lcancel := context.WithTimeout(context.Background(), h.cfg.RequestTimeout)
 	for _, peer := range h.Live() {
@@ -830,8 +647,8 @@ func (h *Host) Close() error {
 		_ = h.node.Send(lctx, peer, wire.NewLeave(h.id, peer, h.node.NextNonce()))
 	}
 	lcancel()
-	if err := h.node.Close(); err != nil {
+	if err := h.Device.Close(); err != nil {
 		return err
 	}
-	return backendErr
+	return syncErr
 }

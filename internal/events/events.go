@@ -274,6 +274,18 @@ func (m multi) OnPeerRecovered(e PeerRecovered) {
 	}
 }
 
+// OnWALCommit forwards a WAL commit window to every member that
+// watches commits (ledger.CommitObserver, matched structurally so this
+// package needs no ledger import), so one merged observer carries both
+// streams.
+func (m multi) OnWALCommit(blocks int, bytes int64) {
+	for _, o := range m {
+		if co, ok := o.(interface{ OnWALCommit(int, int64) }); ok {
+			co.OnWALCommit(blocks, bytes)
+		}
+	}
+}
+
 // Multi combines observers into one, dropping nils. It returns nil
 // when nothing remains (callers treat a nil Observer as "no
 // observation"), and the sole survivor unwrapped when only one does.

@@ -19,11 +19,11 @@ import (
 // recorder captures fault-layer events for assertions.
 type recorder struct {
 	events.Nop
-	mu        sync.Mutex
-	drops     []events.MessageDropped
-	suspects  []events.PeerSuspected
-	recovers  []events.PeerRecovered
-	retries   []events.RetryAttempted
+	mu       sync.Mutex
+	drops    []events.MessageDropped
+	suspects []events.PeerSuspected
+	recovers []events.PeerRecovered
+	retries  []events.RetryAttempted
 }
 
 func (r *recorder) OnMessageDropped(e events.MessageDropped) {
@@ -179,7 +179,7 @@ func TestSeededDropsReplayAcrossFabrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tn2.Close()
-	tn1.AddPeer(2, tn2.Addr())
+	tn1.SetPeer(2, tn2.Addr())
 	ftTCP := faults.Wrap(tn1, plan, nil, nil)
 	for i := uint64(0); i < 200; i++ {
 		if err := ftTCP.Send(ctx, 2, announce(1, 2, i)); err != nil {

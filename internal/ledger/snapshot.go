@@ -17,25 +17,13 @@ import (
 
 // Snapshot persistence: IoT devices reboot, and a 2LDAG node that loses
 // S_i loses the data only it stores (the whole point of the
-// architecture is that nobody else holds it). WriteSnapshot/ReadSnapshot
-// serialize a store as a stream of length-prefixed block encodings with
-// a magic header, so deployments can persist to flash and resume.
-//
-// Two stream versions exist:
-//
-//   - v1 (Store.WriteSnapshot / ReadSnapshot): S_i only — magic, owner,
-//     block count, length-prefixed blocks.
-//   - v2 (NodeState.WriteSnapshot / ReadSnapshotState): the whole node —
-//     v1's block section plus the trust store's headers (H_i, insertion
-//     order), the digest cache (A_i, node-sorted), the trust cap, and a
-//     trailing CRC-32C sealing the stream. This is what FileBackend
-//     compacts to, so recovery restores the whole node, not just S_i.
-//
-// The v2 read path accepts v1 streams (empty H_i/A_i), so pre-existing
-// snapshots stay readable.
-
-// snapshotMagic identifies store snapshot streams ("2LDG" + version 1).
-var snapshotMagic = [8]byte{'2', 'L', 'D', 'G', 'S', 'N', 'P', 1}
+// architecture is that nobody else holds it). NodeState.WriteSnapshot
+// serializes the whole node — S_i's blocks, the trust store's headers
+// (H_i, insertion order), the digest cache (A_i, node-sorted) and the
+// trust cap — behind a magic header and a trailing CRC-32C sealing the
+// stream. This is what FileBackend compacts to, so recovery restores
+// the whole node, not just S_i. Only this v2 stream is read; any other
+// magic, including the retired store-only v1, is ErrBadSnapshot.
 
 // snapshotMagicV2 identifies whole-node snapshot streams (version 2).
 var snapshotMagicV2 = [8]byte{'2', 'L', 'D', 'G', 'S', 'N', 'P', 2}
@@ -48,89 +36,6 @@ var (
 
 // maxSnapshotBlock bounds one serialized block in a snapshot.
 const maxSnapshotBlock = block.MaxBodyLen + 1<<20
-
-// WriteSnapshot serializes the store: magic, owner, block count, then
-// each block length-prefixed in sequence order.
-//
-// Both index modes snapshot identically: an arena-backed compact store
-// (NewStoreInArena) shares its *blocks* with the arena but still owns
-// the ordered log slice — only the responder index is externalized —
-// so serializing the log needs no arena access and the result is
-// byte-identical to a sharded store holding the same blocks
-// (TestSnapshotArenaStore pins this).
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return fmt.Errorf("ledger: writing snapshot header: %w", err)
-	}
-	var meta [8]byte
-	binary.LittleEndian.PutUint32(meta[:4], uint32(s.owner))
-	binary.LittleEndian.PutUint32(meta[4:], uint32(len(s.blocks)))
-	if _, err := bw.Write(meta[:]); err != nil {
-		return fmt.Errorf("ledger: writing snapshot meta: %w", err)
-	}
-	for _, b := range s.blocks {
-		enc := block.Encode(b)
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(enc)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return fmt.Errorf("ledger: writing block length: %w", err)
-		}
-		if _, err := bw.Write(enc); err != nil {
-			return fmt.Errorf("ledger: writing block: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadSnapshot reconstructs a store from a snapshot stream, rebuilding
-// every index and re-validating the chain structure (sequence numbers
-// and ownership). Cryptographic validity is the caller's concern (use
-// block.Params.Validate when restoring from untrusted media).
-func ReadSnapshot(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadSnapshot, err)
-	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	var meta [8]byte
-	if _, err := io.ReadFull(br, meta[:]); err != nil {
-		return nil, fmt.Errorf("%w: meta: %v", ErrBadSnapshot, err)
-	}
-	owner := identity.NodeID(binary.LittleEndian.Uint32(meta[:4]))
-	count := binary.LittleEndian.Uint32(meta[4:])
-	s := NewStore(owner)
-	for i := uint32(0); i < count; i++ {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return nil, fmt.Errorf("%w: block %d length: %v", ErrBadSnapshot, i, err)
-		}
-		size := binary.LittleEndian.Uint32(lenBuf[:])
-		if size > maxSnapshotBlock {
-			return nil, fmt.Errorf("%w: block %d size %d", ErrBadSnapshot, i, size)
-		}
-		enc := make([]byte, size)
-		if _, err := io.ReadFull(br, enc); err != nil {
-			return nil, fmt.Errorf("%w: block %d body: %v", ErrBadSnapshot, i, err)
-		}
-		b, err := block.Decode(enc)
-		if err != nil {
-			return nil, fmt.Errorf("%w: block %d: %v", ErrBadSnapshot, i, err)
-		}
-		if err := s.Append(b); err != nil {
-			if errors.Is(err, ErrWrongOrigin) {
-				return nil, fmt.Errorf("%w: block %d origin %v", ErrWrongOwner, i, b.Header.Origin)
-			}
-			return nil, fmt.Errorf("%w: block %d: %v", ErrBadSnapshot, i, err)
-		}
-	}
-	return s, nil
-}
 
 // crcWriter tracks a CRC-32C over everything written, so the v2 writer
 // can seal the stream with a trailing checksum.
@@ -310,12 +215,12 @@ func snapFramed(r snapSource, limit uint32) ([]byte, error) {
 }
 
 // ReadSnapshotState reconstructs a whole-node state from an in-memory
-// snapshot stream, accepting both v1 (store-only) and v2. Blocks are
+// v2 snapshot stream. Blocks are
 // re-sealed through opts.Params.SealBlock and — when opts.Ring is set
 // — re-verified with opts.Params.Validate; trust headers are
 // re-sealed. The stream must belong to opts.Owner (ErrWrongOwner
 // otherwise). The trust cap in force is opts.TrustCap when positive,
-// else the v2 stream's recorded cap; it is applied before H_i is
+// else the stream's recorded cap; it is applied before H_i is
 // restored so FIFO bounds hold immediately. Verification parallelism
 // follows opts.Workers.
 func ReadSnapshotState(data []byte, opts RecoverOptions) (*NodeState, error) {
@@ -326,31 +231,24 @@ func ReadSnapshotState(data []byte, opts RecoverOptions) (*NodeState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadSnapshot, err)
 	}
-	var v2 bool
-	switch {
-	case [8]byte(magic) == snapshotMagicV2:
-		v2 = true
-	case [8]byte(magic) == snapshotMagic:
-	default:
+	if [8]byte(magic) != snapshotMagicV2 {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if v2 {
-		// The trailing CRC seals everything before it; check it before
-		// trusting any length field.
-		if len(data) < 12 {
-			return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-		}
-		body, tail := data[:len(data)-4], data[len(data)-4:]
-		if crc32.Checksum(body, walTable) != binary.LittleEndian.Uint32(tail) {
-			return nil, fmt.Errorf("%w: CRC mismatch", ErrBadSnapshot)
-		}
-		r.buf = body
+	// The trailing CRC seals everything before it; check it before
+	// trusting any length field.
+	if len(data) < 12 {
+		return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
 	}
-	return readSnapshotBody(r, v2, opts, pool)
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	if crc32.Checksum(body, walTable) != binary.LittleEndian.Uint32(tail) {
+		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadSnapshot)
+	}
+	r.buf = body
+	return readSnapshotBody(r, opts, pool)
 }
 
 // readSnapshotStream is the file-backed counterpart Recover uses: one
-// fixed-buffer pass checksums a v2 stream, then the body is decoded
+// fixed-buffer pass checksums the stream, then the body is decoded
 // through snapStream's reusable scratch — the snapshot is never
 // materialized whole. f must be positioned at the start.
 func readSnapshotStream(f *os.File, opts RecoverOptions, pool *par.Pool) (*NodeState, error) {
@@ -361,53 +259,45 @@ func readSnapshotStream(f *os.File, opts RecoverOptions, pool *par.Pool) (*NodeS
 		}
 		return nil, fmt.Errorf("%w: header: %v", ErrBadSnapshot, err)
 	}
-	var v2 bool
-	switch magic {
-	case snapshotMagicV2:
-		v2 = true
-	case snapshotMagic:
-	default:
+	if magic != snapshotMagicV2 {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	info, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("ledger: statting snapshot: %w", err)
 	}
+	// The trailing CRC seals everything before it; check it before
+	// trusting any length field.
 	size := info.Size()
-	body := size - 8
-	if v2 {
-		// The trailing CRC seals everything before it; check it before
-		// trusting any length field.
-		if size < 12 {
-			return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
+	if size < 12 {
+		return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
+	}
+	body := size - 12
+	crc := crc32.Checksum(magic[:], walTable)
+	buf := make([]byte, 64<<10)
+	for remain := body; remain > 0; {
+		n := int64(len(buf))
+		if remain < n {
+			n = remain
 		}
-		body = size - 12
-		crc := crc32.Checksum(magic[:], walTable)
-		buf := make([]byte, 64<<10)
-		for remain := body; remain > 0; {
-			n := int64(len(buf))
-			if remain < n {
-				n = remain
-			}
-			if _, err := io.ReadFull(f, buf[:n]); err != nil {
-				return nil, fmt.Errorf("ledger: reading snapshot: %w", err)
-			}
-			crc = crc32.Update(crc, walTable, buf[:n])
-			remain -= n
-		}
-		var tail [4]byte
-		if _, err := io.ReadFull(f, tail[:]); err != nil {
+		if _, err := io.ReadFull(f, buf[:n]); err != nil {
 			return nil, fmt.Errorf("ledger: reading snapshot: %w", err)
 		}
-		if crc != binary.LittleEndian.Uint32(tail[:]) {
-			return nil, fmt.Errorf("%w: CRC mismatch", ErrBadSnapshot)
-		}
-		if _, err := f.Seek(8, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("ledger: seeking snapshot: %w", err)
-		}
+		crc = crc32.Update(crc, walTable, buf[:n])
+		remain -= n
+	}
+	var tail [4]byte
+	if _, err := io.ReadFull(f, tail[:]); err != nil {
+		return nil, fmt.Errorf("ledger: reading snapshot: %w", err)
+	}
+	if crc != binary.LittleEndian.Uint32(tail[:]) {
+		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadSnapshot)
+	}
+	if _, err := f.Seek(8, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("ledger: seeking snapshot: %w", err)
 	}
 	src := &snapStream{r: bufio.NewReaderSize(f, 64<<10), rem: int(body)}
-	return readSnapshotBody(src, v2, opts, pool)
+	return readSnapshotBody(src, opts, pool)
 }
 
 // readSnapshotBody reads everything after the magic. The sequential
@@ -415,9 +305,9 @@ func readSnapshotStream(f *os.File, opts RecoverOptions, pool *par.Pool) (*NodeS
 // block's re-seal/re-verify on the pool (recoverVerifier); blocks then
 // retire into the store in order, so state, errors, and error order
 // are byte-identical to the serial path regardless of pool width.
-func readSnapshotBody(r snapSource, v2 bool, opts RecoverOptions, pool *par.Pool) (*NodeState, error) {
+func readSnapshotBody(r snapSource, opts RecoverOptions, pool *par.Pool) (*NodeState, error) {
 	verify := recoverVerifier{opts: opts, pool: pool}
-	st, scanErr := scanSnapshotBody(r, v2, opts, &verify)
+	st, scanErr := scanSnapshotBody(r, opts, &verify)
 	// Every queued block precedes the scan's stopping point, so the
 	// first verification failure outranks scanErr — exactly the error
 	// the serial loop would have hit first.
@@ -438,10 +328,10 @@ func readSnapshotBody(r snapSource, v2 bool, opts RecoverOptions, pool *par.Pool
 }
 
 // scanSnapshotBody is readSnapshotBody's sequential pass: meta, block
-// section (decode + structure, verification queued), and for v2 the
-// trust and cache sections. On error the returned state is partial and
+// section (decode + structure, verification queued), then the trust
+// and cache sections. On error the returned state is partial and
 // the caller discards it.
-func scanSnapshotBody(r snapSource, v2 bool, opts RecoverOptions, verify *recoverVerifier) (*NodeState, error) {
+func scanSnapshotBody(r snapSource, opts RecoverOptions, verify *recoverVerifier) (*NodeState, error) {
 	ownerWord, err := snapU32(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: meta: %v", ErrBadSnapshot, err)
@@ -451,14 +341,12 @@ func scanSnapshotBody(r snapSource, v2 bool, opts RecoverOptions, verify *recove
 		return nil, fmt.Errorf("%w: snapshot owner %v, recovering %v", ErrWrongOwner, owner, opts.Owner)
 	}
 	trustCap := opts.TrustCap
-	if v2 {
-		recorded, err := snapU32(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: meta: %v", ErrBadSnapshot, err)
-		}
-		if trustCap <= 0 {
-			trustCap = int(recorded)
-		}
+	recorded, err := snapU32(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: meta: %v", ErrBadSnapshot, err)
+	}
+	if trustCap <= 0 {
+		trustCap = int(recorded)
 	}
 	st := NewNodeState(owner, trustCap)
 
@@ -488,9 +376,6 @@ func scanSnapshotBody(r snapSource, v2 bool, opts RecoverOptions, verify *recove
 			return st, fmt.Errorf("%w: block %d: %v", ErrBadSnapshot, i,
 				fmt.Errorf("%w: seq %d, want %d", ErrBadSeq, b.Header.Seq, i))
 		}
-	}
-	if !v2 {
-		return st, nil
 	}
 	trustInserted, err := snapU64(r)
 	if err != nil {

@@ -2,7 +2,11 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/block"
@@ -10,30 +14,29 @@ import (
 	"github.com/twoldag/twoldag/internal/identity"
 )
 
-func snapshotStore(t *testing.T, n int) *Store {
+// snapshotState builds a node state whose store holds n chained blocks
+// of node 4 and whose H_i and A_i are empty.
+func snapshotState(t *testing.T, n int) *NodeState {
 	t.Helper()
 	key := identity.Deterministic(4, 4)
-	s := NewStore(4)
+	st := NewNodeState(4, 0)
 	extra := []block.DigestRef{{Node: 9, Digest: digest.Sum([]byte("nb"))}}
 	for _, b := range chainFor(t, key, n, extra) {
-		if err := s.Append(b); err != nil {
+		if err := st.Store.Append(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return s
+	return st
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	s := snapshotStore(t, 5)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	restored, err := ReadSnapshot(&buf)
+	st := snapshotState(t, 5)
+	restored, err := ReadSnapshotState(stateBytes(t, st), stateOpts())
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("ReadSnapshotState: %v", err)
 	}
-	if restored.Owner() != s.Owner() || restored.Len() != s.Len() {
+	s, got := st.Store, restored.Store
+	if got.Owner() != s.Owner() || got.Len() != s.Len() {
 		t.Fatal("snapshot lost owner or blocks")
 	}
 	for seq := uint32(0); seq < uint32(s.Len()); seq++ {
@@ -41,7 +44,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := restored.Get(seq)
+		b, err := got.Get(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,63 +57,73 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, ok := restored.OldestContaining(first.Header.Hash())
+	child, ok := got.OldestContaining(first.Header.Hash())
 	if !ok || child.Header.Seq != 1 {
 		t.Fatal("restored store lost the digest index")
 	}
 }
 
 func TestSnapshotEmptyStore(t *testing.T) {
-	s := NewStore(7)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadSnapshot(&buf)
+	restored, err := ReadSnapshotState(stateBytes(t, NewNodeState(4, 0)), stateOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != 0 || restored.Owner() != 7 {
+	if restored.Store.Len() != 0 || restored.Store.Owner() != 4 {
 		t.Fatal("empty snapshot wrong")
 	}
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewReader(nil)); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := ReadSnapshotState(nil, stateOpts()); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("empty input: %v", err)
 	}
-	if _, err := ReadSnapshot(bytes.NewReader([]byte("not a snapshot at all"))); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := ReadSnapshotState([]byte("not a snapshot at all"), stateOpts()); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("bad magic: %v", err)
 	}
 }
 
-func TestSnapshotRejectsTruncation(t *testing.T) {
-	s := snapshotStore(t, 3)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+// TestSnapshotRejectsV1: the store-only v1 stream is no longer read;
+// its magic is ErrBadSnapshot on the in-memory and the file path alike.
+func TestSnapshotRejectsV1(t *testing.T) {
+	raw := stateBytes(t, snapshotState(t, 3))
+	v1 := append([]byte("2LDGSNP\x01"), raw[8:]...)
+	if _, err := ReadSnapshotState(v1, stateOpts()); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("in-memory v1 stream: want ErrBadSnapshot, got %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	fb, err := OpenFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	if _, err := fb.Recover(stateOpts()); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("v1 snapshot file: want ErrBadSnapshot, got %v", err)
+	}
+}
+
+func TestSnapshotRejectsTruncation(t *testing.T) {
+	raw := stateBytes(t, snapshotState(t, 3))
 	for _, cut := range []int{9, 17, len(raw) / 2, len(raw) - 1} {
-		if _, err := ReadSnapshot(bytes.NewReader(raw[:cut])); !errors.Is(err, ErrBadSnapshot) {
+		if _, err := ReadSnapshotState(raw[:cut], stateOpts()); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("cut %d: want ErrBadSnapshot, got %v", cut, err)
 		}
 	}
 }
 
+// TestSnapshotDetectsCorruptChain: a stream whose CRC is intact can
+// still carry a block that breaks the chain's invariants.
 func TestSnapshotDetectsCorruptChain(t *testing.T) {
-	// Flipping a byte inside a block encoding breaks either the decode
-	// or the append invariants.
-	s := snapshotStore(t, 3)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Offset 28 is the first block's Origin field (8 magic + 8 meta +
-	// 4 length + version + time): changing it must trip ErrWrongOwner.
-	raw[28] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupted snapshot accepted")
+	raw := stateBytes(t, snapshotState(t, 3))
+	// Offset 32 is the first block's Origin field (8 magic + 4 owner +
+	// 4 cap + 4 count + 4 length + version + time): changing it, then
+	// resealing the CRC, must trip ErrWrongOwner.
+	raw[32] ^= 0xFF
+	body := raw[:len(raw)-4]
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.Checksum(body, walTable))
+	if _, err := ReadSnapshotState(raw, stateOpts()); !errors.Is(err, ErrWrongOwner) {
+		t.Fatalf("foreign block: want ErrWrongOwner, got %v", err)
 	}
 }

@@ -128,23 +128,6 @@ func TestSnapshotV2CapEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2ReadsV1: version skew — a pre-existing store-only
-// snapshot restores into a state with empty H_i/A_i.
-func TestSnapshotV2ReadsV1(t *testing.T) {
-	s := snapshotStore(t, 3)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ReadSnapshotState(buf.Bytes(), stateOpts())
-	if err != nil {
-		t.Fatalf("v1 stream: %v", err)
-	}
-	if st.Store.Len() != 3 || st.Trust.Len() != 0 || st.Cache.Len() != 0 {
-		t.Fatal("v1 restore wrong")
-	}
-}
-
 func TestSnapshotV2RejectsCorruption(t *testing.T) {
 	raw := stateBytes(t, populatedState(t, 0))
 
@@ -192,21 +175,10 @@ func TestSnapshotArenaStore(t *testing.T) {
 		}
 	}
 
-	var a, b bytes.Buffer
-	if err := sharded.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := compact.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("arena-backed snapshot differs from sharded snapshot")
-	}
-	// And the v2 path sees the same equivalence.
 	stA := &NodeState{Store: sharded, Trust: NewTrustStore(), Cache: NewDigestCache()}
 	stB := &NodeState{Store: compact, Trust: NewTrustStore(), Cache: NewDigestCache()}
 	if !bytes.Equal(stateBytes(t, stA), stateBytes(t, stB)) {
-		t.Fatal("v2 snapshot differs between index modes")
+		t.Fatal("arena-backed snapshot differs from sharded snapshot")
 	}
 	// Round-trip restores a fully indexed, sealed store.
 	restored, err := ReadSnapshotState(stateBytes(t, stB), stateOpts())

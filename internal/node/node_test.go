@@ -366,7 +366,7 @@ func TestLiveClusterOverTCP(t *testing.T) {
 	for id, tn := range tcps {
 		for other, otherTn := range tcps {
 			if id != other {
-				tn.AddPeer(other, otherTn.Addr())
+				tn.SetPeer(other, otherTn.Addr())
 			}
 		}
 	}

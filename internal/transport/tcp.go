@@ -105,7 +105,9 @@ func (n *TCPNode) AdvertiseAddr() string {
 }
 
 // AddPeer registers or updates a peer's dial address.
-// Deprecated-in-spirit alias of SetPeer, kept for existing callers.
+//
+// Deprecated: use SetPeer. The alias stays while the separate perfbench
+// module, which is pinned as the benchmark, still calls it.
 func (n *TCPNode) AddPeer(id identity.NodeID, addr string) { n.SetPeer(id, addr) }
 
 // SetPeer registers or updates a peer's dial address. When the address

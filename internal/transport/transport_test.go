@@ -256,8 +256,8 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a.AddPeer(2, b.Addr())
-	b.AddPeer(1, a.Addr())
+	a.SetPeer(2, b.Addr())
+	b.SetPeer(1, a.Addr())
 
 	if err := a.Send(context.Background(), 2, announce(1, 2, "hello")); err != nil {
 		t.Fatal(err)
@@ -281,8 +281,8 @@ func TestTCPRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.AddPeer(2, b.Addr())
-	b.AddPeer(1, a.Addr())
+	a.SetPeer(2, b.Addr())
+	b.SetPeer(1, a.Addr())
 
 	var responder *RPC
 	responder = NewRPC(b, func(env Envelope) {
@@ -365,7 +365,7 @@ func TestTCPMidStreamReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.AddPeer(2, b.Addr())
+	a.SetPeer(2, b.Addr())
 	if err := a.Send(context.Background(), 2, announce(1, 2, "warm")); err != nil {
 		t.Fatalf("warm-up send: %v", err)
 	}
@@ -401,7 +401,7 @@ func TestTCPInboundDropHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a.AddPeer(2, b.Addr())
+	a.SetPeer(2, b.Addr())
 	dropped := make(chan Envelope, 1)
 	b.SetDropHandler(func(env Envelope) {
 		select {
