@@ -423,7 +423,7 @@ func Ablations(scale Scale) ([]*FigResult, error) {
 // per-node storage, communication, heap footprint and wall-clock at
 // each size. Everything but heap/wall-clock is deterministic on the
 // seed; the curve's headline claim is that per-node cost stays flat
-// while n grows 50x, which is what the arena-backed compact stores
+// while n grows 50x, which is what the lazily indexed per-node stores
 // buy. Not part of the "all" figure set — the paper has no such
 // figure; run it with `experiments scaling`.
 func ScalingCurve(scale Scale) ([]*FigResult, error) {

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -160,16 +161,33 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickDecodeArbitraryBytesNeverPanics(t *testing.T) {
-	f := func(raw []byte) bool {
-		// Hostile input may fail, but must never panic.
-		_, _ = DecodeHeader(raw)
-		_, _ = Decode(raw)
-		return true
+// FuzzDecode: arbitrary bytes must never panic the decoders, and the
+// codec is canonical (fixed-width fields, exact length prefixes, no
+// trailing bytes), so any input that decodes re-encodes byte for byte.
+func FuzzDecode(f *testing.F) {
+	r := rand.New(rand.NewSource(9))
+	for i := 0; i < 4; i++ {
+		h := randomHeader(r)
+		f.Add(EncodeHeader(h))
+		b := &Block{Header: *h, Body: make([]byte, r.Intn(64))}
+		r.Read(b.Body)
+		enc := Encode(b)
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if h, err := DecodeHeader(raw); err == nil {
+			if enc := EncodeHeader(h); !bytes.Equal(enc, raw) {
+				t.Fatalf("header re-encodes to %x, decoded from %x", enc, raw)
+			}
+		}
+		if b, err := Decode(raw); err == nil {
+			if enc := Encode(b); !bytes.Equal(enc, raw) {
+				t.Fatalf("block re-encodes to %x, decoded from %x", enc, raw)
+			}
+		}
+	})
 }
 
 func BenchmarkEncodeHeader(b *testing.B) {

@@ -12,10 +12,6 @@ import (
 	"github.com/twoldag/twoldag/internal/pow"
 )
 
-// BenchmarkHotpathStoreOldestContaining measures the REQ_CHILD
-// responder lookup (Alg. 4) with MB-scale bodies — the call that used
-// to deep-copy the whole block per hop and now returns a shared sealed
-// reference.
 // BenchmarkHotpathWALAppend prices durability on the seal path, layer
 // by layer: record is the pure codec (frame + CRC-32C into a reused
 // buffer), buffered is a journaled trust write (no fsync — the lazy
@@ -238,6 +234,11 @@ func BenchmarkRecoverCold(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathStoreOldestContaining measures the REQ_CHILD
+// responder lookup (Alg. 4) with MB-scale bodies — the call that used
+// to deep-copy the whole block per hop and now returns a shared sealed
+// reference. The first lookup builds the store's lazy index; every
+// later one takes a single read lock.
 func BenchmarkHotpathStoreOldestContaining(b *testing.B) {
 	key := identity.Deterministic(1, 1)
 	p := block.DefaultParams()

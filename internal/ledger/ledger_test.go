@@ -85,7 +85,7 @@ func TestStoreGetMissing(t *testing.T) {
 	}
 }
 
-func TestStoreByHashAndOldestContaining(t *testing.T) {
+func TestStoreOldestContaining(t *testing.T) {
 	key := identity.Deterministic(1, 1)
 	s := NewStore(1)
 	target := digest.Sum([]byte("neighbor block"))
@@ -95,12 +95,6 @@ func TestStoreByHashAndOldestContaining(t *testing.T) {
 		if err := s.Append(b); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got, ok := s.ByHash(blocks[1].Header.Hash()); !ok || got.Header.Seq != 1 {
-		t.Fatal("ByHash lookup failed")
-	}
-	if _, ok := s.ByHash(digest.Sum([]byte("missing"))); ok {
-		t.Fatal("ByHash hit for unknown digest")
 	}
 	oldest, ok := s.OldestContaining(target)
 	if !ok || oldest.Header.Seq != 0 {
@@ -306,7 +300,7 @@ func TestTrustStoreSharedSealedReads(t *testing.T) {
 
 // TestTrustStoreSealedHeadersShared pins the scale-mode contract:
 // a header that is already sealed is stored by reference, not cloned,
-// so thousands of validators index one arena-resident header.
+// so thousands of validators index one shared header.
 func TestTrustStoreSealedHeadersShared(t *testing.T) {
 	key := identity.Deterministic(1, 1)
 	ts := NewTrustStore()

@@ -156,43 +156,6 @@ func TestSnapshotV2WrongOwner(t *testing.T) {
 	}
 }
 
-// TestSnapshotArenaStore pins satellite invariant: an arena-backed
-// compact store serializes byte-identically to a sharded store holding
-// the same blocks — WriteSnapshot never needs the arena.
-func TestSnapshotArenaStore(t *testing.T) {
-	key := identity.Deterministic(4, 4)
-	blocks := chainFor(t, key, 5, nil)
-
-	sharded := NewStore(4)
-	arena := NewArena()
-	compact := NewStoreInArena(4, arena)
-	for _, b := range blocks {
-		if err := sharded.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := compact.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stA := &NodeState{Store: sharded, Trust: NewTrustStore(), Cache: NewDigestCache()}
-	stB := &NodeState{Store: compact, Trust: NewTrustStore(), Cache: NewDigestCache()}
-	if !bytes.Equal(stateBytes(t, stA), stateBytes(t, stB)) {
-		t.Fatal("arena-backed snapshot differs from sharded snapshot")
-	}
-	// Round-trip restores a fully indexed, sealed store.
-	restored, err := ReadSnapshotState(stateBytes(t, stB), stateOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Store.Len() != 5 {
-		t.Fatal("arena snapshot lost blocks")
-	}
-	if _, ok := restored.Store.OldestContaining(blocks[0].Header.Hash()); !ok {
-		t.Fatal("restored store lost the digest index")
-	}
-}
-
 // FuzzReadSnapshotState: arbitrary bytes must never panic; on success
 // the state must be consistent and re-serializable.
 func FuzzReadSnapshotState(f *testing.F) {

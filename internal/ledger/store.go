@@ -14,7 +14,7 @@
 //
 // Store and TrustStore hold immutable, header-sealed blocks and
 // headers (see the block package doc) and hand them out by shared
-// reference: Get, Latest, ByHash, OldestContaining, Headers,
+// reference: Get, Latest, OldestContaining, Headers,
 // TrustStore.Get and ChildOf return pointers into the store, not
 // copies. Callers must treat the results as read-only; anyone who
 // needs to mutate one (e.g. the attack library forging a reply) must
@@ -56,27 +56,9 @@ var (
 	ErrNotFound    = errors.New("ledger: block not found")
 )
 
-// storeShardCount shards the digest-keyed indexes by digest prefix so
-// concurrent audit fan-out (AuditMany, parallel simulator slots)
-// querying one responder's store does not serialize on a single
-// RWMutex. Power of two; header digests are uniform hashes, so the
-// first byte balances shards.
-const storeShardCount = 16
-
-// storeShard holds the digest-keyed lookup state for one prefix class.
-// Values are block pointers (not log indexes) so lookups never touch
-// the main log lock.
-type storeShard struct {
-	mu       sync.RWMutex
-	byHash   map[digest.Digest]*block.Block
-	contains map[digest.Digest][]*block.Block // ascending seq = oldest first
-}
-
-// containsEntry is the compact-mode responder index record for one
-// referenced digest: only the oldest matching sequence (Alg. 4 wants
-// exactly that block) and the match count (|C_j'(b)|, Prop. 5) are ever
-// queried, so the full ascending list the sharded index keeps is
-// unnecessary.
+// containsEntry is the responder index record for one referenced
+// digest: only the oldest matching sequence (Alg. 4 wants exactly that
+// block) and the match count (|C_j'(b)|, Prop. 5) are ever queried.
 type containsEntry struct {
 	oldest uint32
 	count  uint32
@@ -86,19 +68,11 @@ type containsEntry struct {
 // index answering the responder query of Algorithm 4 — "the oldest of my
 // blocks whose Δ contains digest d".
 //
-// A store runs in one of two index modes, chosen at construction:
-//
-//   - Sharded (NewStore): the digest-keyed indexes are sharded by digest
-//     prefix so responder lookups from many concurrent audits spread
-//     across locks. This is the live-node mode, sized for one node per
-//     process.
-//   - Compact (NewStoreInArena): sealed blocks are published to a shared
-//     content-addressed Arena and the store keeps only the ordered log of
-//     references plus a single {oldest, count} map, built lazily on the
-//     first responder query. This is the simulator mode: with 10k–100k
-//     stores in one process, 32 eagerly-allocated maps per store dwarf
-//     the data they index, and zero-audit scaling runs never pay for a
-//     responder index at all.
+// The index is one {oldest, count} map per store, built lazily on the
+// first responder query and kept current by Append afterwards: a
+// simulator holding 10k–100k stores in one process, or a live node that
+// is never audited, does not pay for a responder index until something
+// asks it.
 type Store struct {
 	mu        sync.RWMutex
 	owner     identity.NodeID
@@ -106,43 +80,18 @@ type Store struct {
 	bodyBytes int64
 	refCount  int64 // Σ len(Header.Digests) over the log, for O(1) ModelBits
 
-	// Compact mode (arena != nil): contains is nil until the first
-	// responder query builds it; Append keeps it current afterwards.
-	arena    *Arena
+	// contains is nil until the first responder query builds it.
 	indexed  bool
 	contains map[digest.Digest]containsEntry
-
-	// Sharded mode (arena == nil).
-	shards [storeShardCount]storeShard
 
 	// journal, when set, durably records every append before it is
 	// published (write-ahead). nil = in-memory only.
 	journal Journal
 }
 
-// NewStore creates an empty log owned by the given node, with the
-// sharded digest indexes suited to a single node per process.
+// NewStore creates an empty log owned by the given node.
 func NewStore(owner identity.NodeID) *Store {
-	s := &Store{owner: owner}
-	for i := range s.shards {
-		s.shards[i].byHash = make(map[digest.Digest]*block.Block)
-		s.shards[i].contains = make(map[digest.Digest][]*block.Block)
-	}
-	return s
-}
-
-// NewStoreInArena creates an empty log owned by the given node in
-// compact mode: appended blocks are also published to the shared
-// content-addressed arena, hash lookups are answered by the arena, and
-// the responder index is a single lazily-built compact map. Many stores
-// may share one arena; this is the representation that lets the
-// simulator hold tens of thousands of ledgers in one process.
-func NewStoreInArena(owner identity.NodeID, a *Arena) *Store {
-	return &Store{owner: owner, arena: a}
-}
-
-func (s *Store) shard(d digest.Digest) *storeShard {
-	return &s.shards[d[0]&(storeShardCount-1)]
+	return &Store{owner: owner}
 }
 
 // Owner returns the owning node's ID.
@@ -177,7 +126,7 @@ func (s *Store) Append(b *block.Block) error {
 	}
 	// Seal outside the lock: the memoizing Hash call must not race with
 	// readers of already-stored blocks, and cp is still private here.
-	hh := cp.Header.Seal()
+	cp.Header.Seal()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if int(cp.Header.Seq) != len(s.blocks) {
@@ -195,37 +144,16 @@ func (s *Store) Append(b *block.Block) error {
 	s.blocks = append(s.blocks, cp)
 	s.bodyBytes += int64(len(cp.Body))
 	s.refCount += int64(len(cp.Header.Digests))
-	if s.arena != nil {
-		s.arena.Put(cp)
-		// The compact responder index is lazy: until the first
-		// OldestContaining/CountContaining builds it, appends cost
-		// nothing here; afterwards they keep it current.
-		if s.indexed {
-			s.indexContains(cp)
-		}
-		return nil
-	}
-	// Index updates take the shard locks while still holding the main
-	// lock: appends are serialized anyway (the seq check demands it), and
-	// publishing under the shard lock keeps each index internally
-	// consistent for lock-free-of-main readers.
-	hs := s.shard(hh)
-	hs.mu.Lock()
-	hs.byHash[hh] = cp
-	hs.mu.Unlock()
-	for _, ref := range cp.Header.Digests {
-		if ref.Digest.IsZero() {
-			continue
-		}
-		cs := s.shard(ref.Digest)
-		cs.mu.Lock()
-		cs.contains[ref.Digest] = append(cs.contains[ref.Digest], cp)
-		cs.mu.Unlock()
+	// Until the first OldestContaining/CountContaining builds the
+	// responder index, appends cost nothing here; afterwards they keep
+	// it current.
+	if s.indexed {
+		s.indexContains(cp)
 	}
 	return nil
 }
 
-// indexContains folds one block into the compact responder index.
+// indexContains folds one block into the responder index.
 // Caller holds s.mu for writing.
 func (s *Store) indexContains(b *block.Block) {
 	for _, ref := range b.Header.Digests {
@@ -241,16 +169,10 @@ func (s *Store) indexContains(b *block.Block) {
 	}
 }
 
-// ensureIndexed builds the compact responder index from the log on the
-// first query. Double-checked so steady-state queries stay on the read
-// lock.
-func (s *Store) ensureIndexed() {
-	s.mu.RLock()
-	done := s.indexed
-	s.mu.RUnlock()
-	if done {
-		return
-	}
+// buildIndex builds the responder index from the log. Lookups call it
+// only after seeing indexed unset under their read lock, so steady-state
+// queries take that one read lock and nothing else.
+func (s *Store) buildIndex() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.indexed {
@@ -292,53 +214,23 @@ func (s *Store) Latest() *block.Block {
 	return s.blocks[len(s.blocks)-1]
 }
 
-// ByHash returns the (sealed, read-only) block whose header hashes to d.
-func (s *Store) ByHash(d digest.Digest) (*block.Block, bool) {
-	if s.arena != nil {
-		// The arena is shared across many owners: membership in *this*
-		// store means the arena's block occupies its sequence slot in
-		// the log.
-		b, ok := s.arena.Get(d)
-		if !ok || b.Header.Origin != s.owner {
-			return nil, false
-		}
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		if int(b.Header.Seq) >= len(s.blocks) || s.blocks[b.Header.Seq] != b {
-			return nil, false
-		}
-		return b, true
-	}
-	sh := s.shard(d)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	b, ok := sh.byHash[d]
-	return b, ok
-}
-
 // oldestContainingAt answers the responder's selection rule restricted
-// to the first limit blocks (limit = MaxUint32 for the whole log). Both
-// index modes append in ascending sequence order, so the oldest
-// in-fence match is the index head whenever it predates the fence.
+// to the first limit blocks (limit = MaxUint32 for the whole log). The
+// index records the oldest match, so the oldest in-fence match is that
+// block whenever it predates the fence.
 func (s *Store) oldestContainingAt(d digest.Digest, limit uint32) (*block.Block, bool) {
-	if s.arena != nil {
-		s.ensureIndexed()
+	s.mu.RLock()
+	if !s.indexed {
+		s.mu.RUnlock()
+		s.buildIndex()
 		s.mu.RLock()
-		defer s.mu.RUnlock()
-		e, ok := s.contains[d]
-		if !ok || e.oldest >= limit {
-			return nil, false
-		}
-		return s.blocks[e.oldest], true
 	}
-	sh := s.shard(d)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	bs := sh.contains[d]
-	if len(bs) == 0 || bs[0].Header.Seq >= limit {
+	defer s.mu.RUnlock()
+	e, ok := s.contains[d]
+	if !ok || e.oldest >= limit {
 		return nil, false
 	}
-	return bs[0], true
+	return s.blocks[e.oldest], true
 }
 
 // OldestContaining implements the responder's selection rule (Alg. 4,
@@ -353,16 +245,14 @@ func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
 // reference digest d. Exposed for the micro-loop analysis tests
 // (Prop. 5).
 func (s *Store) CountContaining(d digest.Digest) int {
-	if s.arena != nil {
-		s.ensureIndexed()
+	s.mu.RLock()
+	if !s.indexed {
+		s.mu.RUnlock()
+		s.buildIndex()
 		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return int(s.contains[d].count)
 	}
-	sh := s.shard(d)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.contains[d])
+	defer s.mu.RUnlock()
+	return int(s.contains[d].count)
 }
 
 // BodyBytes returns the cumulative body payload stored, in bytes.

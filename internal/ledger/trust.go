@@ -85,9 +85,9 @@ func (t *TrustStore) SetJournal(j Journal) {
 // before any copying). It returns true when the header was newly
 // added. Sealed headers — immutable by contract everywhere in this
 // codebase — are stored by shared reference, so the thousands of
-// validators of a scaled simulation index one arena-resident header
-// instead of cloning it apiece; unsealed headers are defensively
-// cloned.
+// validators of a scaled simulation index the one header held in its
+// origin's store instead of cloning it apiece; unsealed headers are
+// defensively cloned.
 func (t *TrustStore) Add(h *block.Header) bool {
 	sealed := h.Sealed()
 	hh := h.Hash()

@@ -257,11 +257,8 @@ type Sim struct {
 	validators []*core.Validator
 	behaviors  []attack.Behavior
 	periods    []int
-	// arena holds every sealed block in the run exactly once,
-	// content-addressed; per-node stores are compact indexes over it
-	// (ledger.NewStoreInArena). vcache is the one process-wide
-	// header-verification cache every validator shares.
-	arena  *ledger.Arena
+	// vcache is the one process-wide header-verification cache every
+	// validator shares.
 	vcache *block.VerifyCache
 	// chunk is the resolved phase chunk size (Config.ChunkSize or auto).
 	chunk int
@@ -410,7 +407,6 @@ func New(cfg Config) (*Sim, error) {
 		validators:   make([]*core.Validator, len(ids)),
 		behaviors:    make([]attack.Behavior, len(ids)),
 		vmu:          make([]*sync.Mutex, len(ids)),
-		arena:        ledger.NewArena(),
 		vcache:       block.NewVerifyCache(),
 		nodeRNG:      make([]*rand.Rand, len(ids)),
 		comm:         make([]*commCell, len(ids)),
@@ -426,14 +422,10 @@ func New(cfg Config) (*Sim, error) {
 		s.idx[id] = i
 		key := identity.Deterministic(id, cfg.Seed)
 		pairs = append(pairs, key)
-		// Every engine stores through the shared content-addressed arena
-		// (bodies held once, per-node compact indexes) and shares the
-		// process-wide verification cache — the memory shape that fits
-		// 10k–100k ledgers in one process.
-		eng, err := core.NewEngineWith(key, params, g, core.EngineOptions{
-			Store:       ledger.NewStoreInArena(id, s.arena),
-			VerifyCache: s.vcache,
-		})
+		// Every engine shares the process-wide verification cache — with
+		// lazily indexed stores, the memory shape that fits 10k–100k
+		// ledgers in one process.
+		eng, err := core.NewEngineWith(key, params, g, core.EngineOptions{VerifyCache: s.vcache})
 		if err != nil {
 			return nil, fmt.Errorf("sim: engine %v: %w", id, err)
 		}
@@ -1249,10 +1241,7 @@ func (s *Sim) JoinNode(id identity.NodeID) error {
 	if err := s.ring.Register(key.ID, key.Public); err != nil {
 		return fmt.Errorf("sim: registering joiner: %w", err)
 	}
-	eng, err := core.NewEngineWith(key, s.params, s.graph, core.EngineOptions{
-		Store:       ledger.NewStoreInArena(id, s.arena),
-		VerifyCache: s.vcache,
-	})
+	eng, err := core.NewEngineWith(key, s.params, s.graph, core.EngineOptions{VerifyCache: s.vcache})
 	if err != nil {
 		return fmt.Errorf("sim: joiner engine: %w", err)
 	}

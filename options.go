@@ -67,22 +67,22 @@ type Option func(*config) error
 
 // config is the resolved runtime configuration.
 type config struct {
-	driver    Driver
-	nodes     int
-	gamma     int
-	seed      int64
-	topo      *topology.Graph
-	params    block.Params
-	rto       time.Duration
-	transport TransportKind
-	workers   int
-	observers []Observer
-	malicious int
-	bodyBytes int
-	pipeline  int
-	chunk     int
-	faultPlan faults.Plan
-	retry     faults.RetryPolicy
+	driver       Driver
+	nodes        int
+	gamma        int
+	seed         int64
+	topo         *topology.Graph
+	params       block.Params
+	rto          time.Duration
+	transport    TransportKind
+	workers      int
+	observers    []Observer
+	malicious    int
+	bodyBytes    int
+	pipeline     int
+	chunk        int
+	faultPlan    faults.Plan
+	retry        faults.RetryPolicy
 	dataDir      string
 	trustCap     int
 	compactEvery int
