@@ -90,15 +90,15 @@ func (f *tcpFabric) close() error {
 // TCP and acknowledging announcements through one shared tracker.
 type Cluster struct {
 	fab fabric
-	// backends holds the running devices by ID; each owns its node
+	// devices holds the running devices by ID; each owns its node
 	// runtime and, with WithDataDir, its FileBackend under
 	// dataDir/node-<id>.
-	backends map[NodeID]*cluster.Device
-	ids      []NodeID
-	slot     atomic.Uint32
-	seed     int64
-	workers  int
-	dataDir  string
+	devices map[NodeID]*cluster.Device
+	ids     []NodeID
+	slot    atomic.Uint32
+	seed    int64
+	workers int
+	dataDir string
 	// dev is the per-device template: shared parameters, topology, key
 	// ring, observers, the ack tracker and the durability policy.
 	dev cluster.DeviceConfig
@@ -110,11 +110,11 @@ var _ Runtime = (*Cluster)(nil)
 // one device per node of the resolved topology.
 func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 	c := &Cluster{
-		backends: make(map[NodeID]*cluster.Device, g.Len()),
-		ids:      g.Nodes(),
-		seed:     cfg.seed,
-		workers:  cfg.workers,
-		dataDir:  cfg.dataDir,
+		devices: make(map[NodeID]*cluster.Device, g.Len()),
+		ids:     g.Nodes(),
+		seed:    cfg.seed,
+		workers: cfg.workers,
+		dataDir: cfg.dataDir,
 	}
 	c.dev = cluster.DeviceConfig{
 		Params:         cfg.params,
@@ -171,13 +171,13 @@ func (c *Cluster) startDevice(kp identity.KeyPair) error {
 		_ = c.fab.remove(kp.ID)
 		return fmt.Errorf("twoldag: %w", err)
 	}
-	c.backends[kp.ID] = d
+	c.devices[kp.ID] = d
 	return nil
 }
 
 // running reports whether id runs a device.
 func (c *Cluster) running(id NodeID) bool {
-	_, ok := c.backends[id]
+	_, ok := c.devices[id]
 	return ok
 }
 
@@ -219,7 +219,7 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 	bySender := make(map[NodeID][]Digest, len(batch))
 	senders := make([]*cluster.Device, 0, len(batch))
 	for _, sub := range batch {
-		d, ok := c.backends[sub.Node]
+		d, ok := c.devices[sub.Node]
 		if !ok {
 			return refs, fmt.Errorf("twoldag: unknown node %v", sub.Node)
 		}
@@ -250,7 +250,7 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 
 // Audit implements Runtime.
 func (c *Cluster) Audit(ctx context.Context, validator NodeID, ref Ref) (*AuditResult, error) {
-	d, ok := c.backends[validator]
+	d, ok := c.devices[validator]
 	if !ok {
 		return nil, fmt.Errorf("twoldag: unknown validator %v", validator)
 	}
@@ -274,7 +274,7 @@ func (c *Cluster) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOut
 // Block implements Runtime. The returned block is shared, sealed
 // store state — treat it as read-only and Clone it before mutating.
 func (c *Cluster) Block(ref Ref) (*Block, error) {
-	d, ok := c.backends[ref.Node]
+	d, ok := c.devices[ref.Node]
 	if !ok {
 		return nil, fmt.Errorf("twoldag: unknown node %v", ref.Node)
 	}
@@ -327,11 +327,11 @@ func (c *Cluster) Join() (NodeID, error) {
 // silent is on disk, and Restart can bring it back from exactly that
 // state.
 func (c *Cluster) Silence(id NodeID) error {
-	d, ok := c.backends[id]
+	d, ok := c.devices[id]
 	if !ok {
 		return fmt.Errorf("twoldag: unknown node %v", id)
 	}
-	delete(c.backends, id)
+	delete(c.devices, id)
 	err := d.Close()
 	if rerr := c.fab.remove(id); rerr != nil && err == nil {
 		err = rerr
@@ -370,7 +370,7 @@ func (c *Cluster) Restart(id NodeID) error {
 // state — the snapshot-v2 serialization of (S_i, H_i, A_i, trust cap)
 // — for byte-identity checks across crash/recovery boundaries.
 func (c *Cluster) StateDigest(id NodeID) (Digest, error) {
-	d, ok := c.backends[id]
+	d, ok := c.devices[id]
 	if !ok {
 		return Digest{}, fmt.Errorf("twoldag: unknown node %v", id)
 	}
@@ -381,11 +381,11 @@ func (c *Cluster) StateDigest(id NodeID) (Digest, error) {
 // then the fabric.
 func (c *Cluster) Close() error {
 	var first error
-	for id, d := range c.backends {
+	for id, d := range c.devices {
 		if err := d.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(c.backends, id)
+		delete(c.devices, id)
 	}
 	if err := c.fab.close(); err != nil && first == nil {
 		first = err

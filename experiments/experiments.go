@@ -44,10 +44,6 @@ func runPublic(graph *topology.Graph, seed int64, slots, bodyBytes int, opts ...
 		// The figures never mine (cost accounting is independent of ρ);
 		// the facade's default difficulty would only slow the sweep.
 		twoldag.WithDifficulty(0),
-		// Overlap slot t audits with slot t+1 generation; the report is
-		// byte-identical to the barriered schedule, so figures are
-		// unaffected while multi-core sweeps finish sooner.
-		twoldag.WithPipelineDepth(2),
 	}
 	rt, err := twoldag.New(append(base, opts...)...)
 	if err != nil {
@@ -187,10 +183,7 @@ func Fig7(scale Scale) ([]*FigResult, error) {
 			BodyBytes:            bs.bytes,
 			Gamma:                scale.gammaFor(0.33),
 			RetainVerifiedBlocks: true,
-			// Same pipelined slot schedule as the public-API flows;
-			// reports are depth-independent, so the figure is unchanged.
-			PipelineDepth: 2,
-			Observer:      counters,
+			Observer:             counters,
 		})
 		if err != nil {
 			return nil, err
@@ -451,9 +444,7 @@ func ScalingCurve(scale Scale) ([]*FigResult, error) {
 			BodyBytes: 100_000, Gamma: 8,
 			// A fixed small lag keeps audit duty running at every size
 			// (the default lag of |V| would silence audits for n > slots).
-			VerifyLag:     8,
-			PipelineDepth: 2,
-			ChunkSize:     256,
+			VerifyLag: 8,
 			// With every node auditing every slot, unbounded H_i retention
 			// is the dominant memory term at 10k+ nodes; cap it so the
 			// sweep measures steady-state per-node cost.

@@ -20,7 +20,7 @@ func TestSparseTopologyFacade(t *testing.T) {
 	for name, g := range map[string]*Topology{"smallworld": sw, "geoclustered": gc} {
 		rt, err := New(
 			WithSimulator(), WithTopology(g), WithSeed(9),
-			WithGamma(3), WithDifficulty(0), WithChunkSize(4),
+			WithGamma(3), WithDifficulty(0),
 		)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

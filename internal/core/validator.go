@@ -403,32 +403,14 @@ func (v *Validator) reportSuccess(id identity.NodeID) {
 	}
 }
 
-// Source is the read-only store surface a Responder serves from.
-// *ledger.Store implements it directly; ledger.View implements it over
-// an immutable store prefix, which is how pipelined audits keep a
-// responder's answers fenced at a slot boundary while the owner keeps
-// appending (audit target eligibility and child selection are frozen
-// at the fence).
-type Source interface {
-	Owner() identity.NodeID
-	Get(seq uint32) (*block.Block, error)
-	OldestContaining(d digest.Digest) (*block.Block, bool)
-}
-
-var (
-	_ Source = (*ledger.Store)(nil)
-	_ Source = ledger.View{}
-)
-
 // Responder implements Algorithm 4: serve the oldest local block whose
 // Δ contains a requested digest, and serve full blocks to validators.
 type Responder struct {
-	store Source
+	store *ledger.Store
 }
 
-// NewResponder wraps a node's block store (or a slot-fenced view of
-// it).
-func NewResponder(store Source) *Responder {
+// NewResponder wraps a node's block store.
+func NewResponder(store *ledger.Store) *Responder {
 	return &Responder{store: store}
 }
 

@@ -187,7 +187,12 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	case err != nil:
 		return nil, fmt.Errorf("ledger: reading snapshot: %w", err)
 	default:
-		st, err = readSnapshotStream(sf, opts, pool)
+		info, err := sf.Stat()
+		if err != nil {
+			sf.Close()
+			return nil, fmt.Errorf("ledger: statting snapshot: %w", err)
+		}
+		st, err = readSnapshot(sf, info.Size(), opts, pool)
 		sf.Close()
 		if err != nil {
 			return nil, err

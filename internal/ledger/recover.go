@@ -44,7 +44,7 @@ func (v *recoverVerifier) run(errf func(label int, err error) error) error {
 		return nil
 	}
 	errs := make([]error, n)
-	v.pool.RunChunked(n, 0, func(lo, hi int) {
+	v.pool.RunChunked(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b := v.blocks[i]
 			if err := v.opts.Params.SealBlock(b); err != nil {

@@ -2,12 +2,12 @@ package ledger
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -130,37 +130,13 @@ func (s *Store) writeSnapshotBlocks(w io.Writer) error {
 	return nil
 }
 
-// snapSource is a cursor over a snapshot stream body: in-memory
-// (snapReader) or file-backed (snapStream). take's result is only
-// valid until the next take — decoders copy what they keep
-// (block.Decode and block.DecodeHeader copy body and signature).
-type snapSource interface {
-	take(n int) ([]byte, error)
-	leftover() int
-}
-
-// snapReader is a cursor over an in-memory snapshot stream.
-type snapReader struct {
-	buf []byte
-	off int
-}
-
-func (r *snapReader) take(n int) ([]byte, error) {
-	if n < 0 || len(r.buf)-r.off < n {
-		return nil, io.ErrUnexpectedEOF
-	}
-	p := r.buf[r.off : r.off+n]
-	r.off += n
-	return p, nil
-}
-
-func (r *snapReader) leftover() int { return len(r.buf) - r.off }
-
-// snapStream is a cursor over a file-backed snapshot stream: reads go
-// through a bufio.Reader into one reusable, growable scratch buffer,
-// so a cold start never materializes the whole snapshot in memory.
-// rem bounds the body (it excludes any trailing CRC), so an oversized
-// length field cannot read past the validated region.
+// snapStream is a cursor over a snapshot stream body: reads go through
+// a bufio.Reader into one reusable, growable scratch buffer, so a cold
+// start never materializes the whole snapshot in memory. rem bounds the
+// body (it excludes the trailing CRC), so an oversized length field
+// cannot read past the validated region. take's result is only valid
+// until the next take — decoders copy what they keep (block.Decode and
+// block.DecodeHeader copy body and signature).
 type snapStream struct {
 	r   *bufio.Reader
 	rem int
@@ -185,9 +161,7 @@ func (s *snapStream) take(n int) ([]byte, error) {
 	return p, nil
 }
 
-func (s *snapStream) leftover() int { return s.rem }
-
-func snapU32(r snapSource) (uint32, error) {
+func snapU32(r *snapStream) (uint32, error) {
 	p, err := r.take(4)
 	if err != nil {
 		return 0, err
@@ -195,7 +169,7 @@ func snapU32(r snapSource) (uint32, error) {
 	return binary.LittleEndian.Uint32(p), nil
 }
 
-func snapU64(r snapSource) (uint64, error) {
+func snapU64(r *snapStream) (uint64, error) {
 	p, err := r.take(8)
 	if err != nil {
 		return 0, err
@@ -203,7 +177,7 @@ func snapU64(r snapSource) (uint64, error) {
 	return binary.LittleEndian.Uint64(p), nil
 }
 
-func snapFramed(r snapSource, limit uint32) ([]byte, error) {
+func snapFramed(r *snapStream, limit uint32) ([]byte, error) {
 	n, err := snapU32(r)
 	if err != nil {
 		return nil, err
@@ -215,10 +189,10 @@ func snapFramed(r snapSource, limit uint32) ([]byte, error) {
 }
 
 // ReadSnapshotState reconstructs a whole-node state from an in-memory
-// v2 snapshot stream. Blocks are
-// re-sealed through opts.Params.SealBlock and — when opts.Ring is set
-// — re-verified with opts.Params.Validate; trust headers are
-// re-sealed. The stream must belong to opts.Owner (ErrWrongOwner
+// v2 snapshot stream, through the same reader Recover runs over the
+// snapshot file. Blocks are re-sealed through opts.Params.SealBlock
+// and — when opts.Ring is set — re-verified with opts.Params.Validate;
+// trust headers are re-sealed. The stream must belong to opts.Owner (ErrWrongOwner
 // otherwise). The trust cap in force is opts.TrustCap when positive,
 // else the stream's recorded cap; it is applied before H_i is
 // restored so FIFO bounds hold immediately. Verification parallelism
@@ -226,34 +200,17 @@ func snapFramed(r snapSource, limit uint32) ([]byte, error) {
 func ReadSnapshotState(data []byte, opts RecoverOptions) (*NodeState, error) {
 	pool := par.NewPool(opts.Workers)
 	defer pool.Close()
-	r := &snapReader{buf: data}
-	magic, err := r.take(8)
-	if err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadSnapshot, err)
-	}
-	if [8]byte(magic) != snapshotMagicV2 {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	// The trailing CRC seals everything before it; check it before
-	// trusting any length field.
-	if len(data) < 12 {
-		return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, walTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadSnapshot)
-	}
-	r.buf = body
-	return readSnapshotBody(r, opts, pool)
+	return readSnapshot(bytes.NewReader(data), int64(len(data)), opts, pool)
 }
 
-// readSnapshotStream is the file-backed counterpart Recover uses: one
+// readSnapshot decodes the size-byte snapshot stream held by r (an
+// *os.File for Recover, a *bytes.Reader for ReadSnapshotState). One
 // fixed-buffer pass checksums the stream, then the body is decoded
 // through snapStream's reusable scratch — the snapshot is never
-// materialized whole. f must be positioned at the start.
-func readSnapshotStream(f *os.File, opts RecoverOptions, pool *par.Pool) (*NodeState, error) {
+// materialized whole.
+func readSnapshot(r io.ReaderAt, size int64, opts RecoverOptions, pool *par.Pool) (*NodeState, error) {
 	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
+	if _, err := r.ReadAt(magic[:], 0); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -262,41 +219,25 @@ func readSnapshotStream(f *os.File, opts RecoverOptions, pool *par.Pool) (*NodeS
 	if magic != snapshotMagicV2 {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("ledger: statting snapshot: %w", err)
-	}
 	// The trailing CRC seals everything before it; check it before
 	// trusting any length field.
-	size := info.Size()
 	if size < 12 {
 		return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
 	}
-	body := size - 12
-	crc := crc32.Checksum(magic[:], walTable)
-	buf := make([]byte, 64<<10)
-	for remain := body; remain > 0; {
-		n := int64(len(buf))
-		if remain < n {
-			n = remain
-		}
-		if _, err := io.ReadFull(f, buf[:n]); err != nil {
-			return nil, fmt.Errorf("ledger: reading snapshot: %w", err)
-		}
-		crc = crc32.Update(crc, walTable, buf[:n])
-		remain -= n
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(f, tail[:]); err != nil {
+	bufSize := min(size, 64<<10)
+	crc := crc32.New(walTable)
+	if _, err := io.CopyBuffer(crc, io.NewSectionReader(r, 0, size-4), make([]byte, bufSize)); err != nil {
 		return nil, fmt.Errorf("ledger: reading snapshot: %w", err)
 	}
-	if crc != binary.LittleEndian.Uint32(tail[:]) {
+	var tail [4]byte
+	if _, err := r.ReadAt(tail[:], size-4); err != nil {
+		return nil, fmt.Errorf("ledger: reading snapshot: %w", err)
+	}
+	if crc.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadSnapshot)
 	}
-	if _, err := f.Seek(8, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("ledger: seeking snapshot: %w", err)
-	}
-	src := &snapStream{r: bufio.NewReaderSize(f, 64<<10), rem: int(body)}
+	body := io.NewSectionReader(r, 8, size-12)
+	src := &snapStream{r: bufio.NewReaderSize(body, int(bufSize)), rem: int(size - 12)}
 	return readSnapshotBody(src, opts, pool)
 }
 
@@ -305,7 +246,7 @@ func readSnapshotStream(f *os.File, opts RecoverOptions, pool *par.Pool) (*NodeS
 // block's re-seal/re-verify on the pool (recoverVerifier); blocks then
 // retire into the store in order, so state, errors, and error order
 // are byte-identical to the serial path regardless of pool width.
-func readSnapshotBody(r snapSource, opts RecoverOptions, pool *par.Pool) (*NodeState, error) {
+func readSnapshotBody(r *snapStream, opts RecoverOptions, pool *par.Pool) (*NodeState, error) {
 	verify := recoverVerifier{opts: opts, pool: pool}
 	st, scanErr := scanSnapshotBody(r, opts, &verify)
 	// Every queued block precedes the scan's stopping point, so the
@@ -331,7 +272,7 @@ func readSnapshotBody(r snapSource, opts RecoverOptions, pool *par.Pool) (*NodeS
 // section (decode + structure, verification queued), then the trust
 // and cache sections. On error the returned state is partial and
 // the caller discards it.
-func scanSnapshotBody(r snapSource, opts RecoverOptions, verify *recoverVerifier) (*NodeState, error) {
+func scanSnapshotBody(r *snapStream, opts RecoverOptions, verify *recoverVerifier) (*NodeState, error) {
 	ownerWord, err := snapU32(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: meta: %v", ErrBadSnapshot, err)
@@ -417,8 +358,8 @@ func scanSnapshotBody(r snapSource, opts RecoverOptions, verify *recoverVerifier
 		copy(d[:], p[4:])
 		st.Cache.Update(from, d)
 	}
-	if n := r.leftover(); n != 0 {
-		return st, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, n)
+	if r.rem != 0 {
+		return st, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, r.rem)
 	}
 	return st, nil
 }

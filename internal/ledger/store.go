@@ -26,17 +26,6 @@
 // snapshot — keeps only the header seal, because the store does not
 // know the Merkle leaf size; callers that hold the Params can run
 // Params.SealBlock before Append to memoize the body root as well.
-//
-// # Immutable-prefix views
-//
-// Store is append-only, so any prefix of it is immutable forever.
-// Store.ViewAt captures that as a first-class read view: a View fenced
-// at length n answers Get/OldestContaining exactly as the store did
-// when it held n blocks, regardless of concurrent appends. This is the
-// contract the simulator's pipelined slot execution leans on — audits
-// of slot t read every responder's store through a view captured at
-// the slot-t boundary while slot t+1 generation keeps appending, and
-// still observe precisely the barriered-schedule state (see View).
 package ledger
 
 import (
@@ -214,11 +203,11 @@ func (s *Store) Latest() *block.Block {
 	return s.blocks[len(s.blocks)-1]
 }
 
-// oldestContainingAt answers the responder's selection rule restricted
-// to the first limit blocks (limit = MaxUint32 for the whole log). The
-// index records the oldest match, so the oldest in-fence match is that
-// block whenever it predates the fence.
-func (s *Store) oldestContainingAt(d digest.Digest, limit uint32) (*block.Block, bool) {
+// OldestContaining implements the responder's selection rule (Alg. 4,
+// Eq. 10–11): among the owner's blocks whose Δ contains d, return the
+// oldest (sealed, read-only). The second result is false when no block
+// matches.
+func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
 	s.mu.RLock()
 	if !s.indexed {
 		s.mu.RUnlock()
@@ -227,18 +216,10 @@ func (s *Store) oldestContainingAt(d digest.Digest, limit uint32) (*block.Block,
 	}
 	defer s.mu.RUnlock()
 	e, ok := s.contains[d]
-	if !ok || e.oldest >= limit {
+	if !ok {
 		return nil, false
 	}
 	return s.blocks[e.oldest], true
-}
-
-// OldestContaining implements the responder's selection rule (Alg. 4,
-// Eq. 10–11): among the owner's blocks whose Δ contains d, return the
-// oldest (sealed, read-only). The second result is false when no block
-// matches.
-func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
-	return s.oldestContainingAt(d, ^uint32(0))
 }
 
 // CountContaining returns |C_j'(b)|: how many of the owner's blocks

@@ -137,19 +137,17 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	p.fn = nil
 }
 
-// RunChunked executes fn over [0, n) split into contiguous ranges of
-// at most chunk indexes: fn(lo, hi) covers lo <= i < hi. Workers claim
-// ranges atomically, so at 100k-node scale the per-index dispatch cost
-// (one atomic increment each) amortizes to one per chunk, and fn can
-// hoist per-worker scratch out of its inner loop. chunk <= 0 picks a
-// size that gives each worker ~4 ranges — small enough to balance,
-// large enough to amortize.
+// RunChunked executes fn over [0, n) split into contiguous ranges:
+// fn(lo, hi) covers lo <= i < hi. Each worker gets ~4 ranges — small
+// enough to balance, large enough that at 100k-node scale the
+// per-index dispatch cost (one atomic increment each) amortizes to one
+// per range, and fn can hoist per-worker scratch out of its inner loop.
 //
 // Like Run, fn must be safe for concurrent invocation across disjoint
 // ranges and RunChunked must not be called concurrently with itself or
 // Run on the same Pool. Nil and width-1 pools run the whole range
 // inline as one chunk.
-func (p *Pool) RunChunked(n, chunk int, fn func(lo, hi int)) {
+func (p *Pool) RunChunked(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -157,12 +155,7 @@ func (p *Pool) RunChunked(n, chunk int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	if chunk <= 0 {
-		chunk = (n + p.workers*4 - 1) / (p.workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
+	chunk := (n + p.workers*4 - 1) / (p.workers * 4)
 	chunks := (n + chunk - 1) / chunk
 	if chunks == 1 {
 		fn(0, n)

@@ -103,15 +103,13 @@ func BenchmarkHotpathSimStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			s, err := New(Config{
-				Graph:         g,
-				Seed:          1,
-				Slots:         3,
-				BodyBytes:     100_000,
-				Gamma:         8,
-				VerifyLag:     1,
-				PipelineDepth: 2,
-				ChunkSize:     256,
-				TrustCap:      1024,
+				Graph:     g,
+				Seed:      1,
+				Slots:     3,
+				BodyBytes: 100_000,
+				Gamma:     8,
+				VerifyLag: 1,
+				TrustCap:  1024,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -126,47 +124,6 @@ func BenchmarkHotpathSimStep(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkHotpathPipeline measures the full slotted run (generation,
-// announcement, audits) across pipeline depths and worker counts. All
-// four variants produce byte-identical reports
-// (TestPipelinedSchedulerIsDeterministic); depth 2 lets slot t's
-// audits overlap slot t+1's generation on the audit stage, so on
-// multi-core hardware the deeper pipeline trades idle barrier time
-// for wall clock. On a single CPU the variants should match.
-func BenchmarkHotpathPipeline(b *testing.B) {
-	for _, tc := range []struct {
-		name           string
-		depth, workers int
-	}{
-		{"depth=1_workers=1", 1, 1},
-		{"depth=2_workers=1", 2, 1},
-		{"depth=1_workers=4", 1, 4},
-		{"depth=2_workers=4", 2, 4},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := New(Config{
-					Topo:          topology.Config{Nodes: 16, Width: 320, Height: 320, Range: 100, Seed: 1},
-					Seed:          1,
-					Slots:         30,
-					BodyBytes:     500_000,
-					Gamma:         5,
-					Workers:       tc.workers,
-					PipelineDepth: tc.depth,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				s.Close()
-			}
-		})
-	}
 }
 
 // BenchmarkHotpathAuditRepeat isolates the repeat-audit path: one

@@ -27,14 +27,12 @@ func TestScaleRun10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Graph:         g,
-		Seed:          1,
-		Slots:         500,
-		BodyBytes:     100_000,
-		Gamma:         8,
-		VerifyLag:     8,
-		PipelineDepth: 2,
-		ChunkSize:     256,
+		Graph:     g,
+		Seed:      1,
+		Slots:     500,
+		BodyBytes: 100_000,
+		Gamma:     8,
+		VerifyLag: 8,
 		// Bounded H_i: 4.2M audits retain ~9 chain headers each, so the
 		// unbounded default would grow past this container's RAM; the
 		// cap keeps the 500-slot horizon at a steady-state footprint.

@@ -1,91 +1,11 @@
 package twoldag
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// TestWithPipelineDepthValidation pins the option's contract: depths
-// below 1 are rejected, and the live driver (whose audits are
-// caller-paced) refuses the option outright.
+// TestWithPipelineDepthValidation pins the deprecated option's one
+// remaining contract: depths below 1 are rejected.
 func TestWithPipelineDepthValidation(t *testing.T) {
 	if _, err := New(WithNodes(8), WithSimulator(), WithPipelineDepth(0)); err == nil {
 		t.Fatal("WithPipelineDepth(0) accepted")
-	}
-	if _, err := New(WithNodes(8), WithDifficulty(0), WithPipelineDepth(2)); err == nil {
-		t.Fatal("live driver accepted WithPipelineDepth")
-	}
-	rt, err := New(WithNodes(8), WithSimulator(), WithDifficulty(0), WithPipelineDepth(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWithChunkSizeValidation pins the chunking knob's contract:
-// negative chunks are rejected, the live driver refuses the option,
-// and the simulator's report is byte-identical across chunk sizes.
-func TestWithChunkSizeValidation(t *testing.T) {
-	if _, err := New(WithNodes(8), WithSimulator(), WithChunkSize(-1)); err == nil {
-		t.Fatal("WithChunkSize(-1) accepted")
-	}
-	if _, err := New(WithNodes(8), WithDifficulty(0), WithChunkSize(4)); err == nil {
-		t.Fatal("live driver accepted WithChunkSize")
-	}
-	run := func(chunk int) *SimReport {
-		t.Helper()
-		rt, err := New(
-			WithSimulator(), WithNodes(12), WithGamma(3), WithSeed(7),
-			WithDifficulty(0), WithWorkers(4), WithChunkSize(chunk),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		sd := rt.(*SimDriver)
-		if err := sd.RunSlots(15); err != nil {
-			t.Fatal(err)
-		}
-		return sd.Report()
-	}
-	auto, tiny := run(0), run(1)
-	if auto.Audits == 0 {
-		t.Fatal("no audits ran")
-	}
-	if !reflect.DeepEqual(auto, tiny) {
-		t.Fatalf("chunked report diverged:\nauto: %+v\nchunk=1: %+v", auto, tiny)
-	}
-}
-
-// TestPipelinedRunSlotsReportMatchesBarriered drives the paper's
-// slotted schedule through the public facade at pipeline depths 1 and
-// 3 and asserts byte-identical reports — the public-API face of
-// TestPipelinedSchedulerIsDeterministic.
-func TestPipelinedRunSlotsReportMatchesBarriered(t *testing.T) {
-	run := func(depth int) *SimReport {
-		t.Helper()
-		rt, err := New(
-			WithSimulator(), WithNodes(12), WithGamma(3), WithSeed(7),
-			WithDifficulty(0), WithBodyBytes(100_000), WithMalicious(2),
-			WithWorkers(4), WithPipelineDepth(depth),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		sd := rt.(*SimDriver)
-		if err := sd.RunSlots(25); err != nil {
-			t.Fatal(err)
-		}
-		return sd.Report()
-	}
-	barriered, pipelined := run(1), run(3)
-	if barriered.Audits == 0 {
-		t.Fatal("no audits ran")
-	}
-	if !reflect.DeepEqual(barriered, pipelined) {
-		t.Fatalf("pipelined report diverged:\nbarriered: %+v\npipelined: %+v", barriered, pipelined)
 	}
 }

@@ -335,7 +335,7 @@ func TestRecoveryFacadeCompaction(t *testing.T) {
 	// rotated at least once, so pending sits below the threshold and a
 	// snapshot exists.
 	for _, id := range rt.Nodes() {
-		fb := c.backends[id]
+		fb := c.devices[id]
 		if p := fb.PendingBlocks(); p >= 2 {
 			t.Errorf("node %v: %d pending WAL blocks, threshold 2 never compacted", id, p)
 		}
