@@ -207,7 +207,7 @@ func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, erro
 
 // SubmitBatch implements Runtime: all blocks are sealed first, then
 // the announcements flush receiver-centrically — every sender
-// coalesces its digests into one DigestBatch frame per neighbor, so
+// coalesces its digests into one announcement frame per neighbor, so
 // the fabric carries one frame per (sender, receiver) pair per batch
 // instead of one per sealed block — and the acknowledgements are
 // awaited together, amortizing the wait over the whole slot.

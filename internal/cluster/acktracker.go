@@ -13,8 +13,12 @@
 //     a distributed harness drives over its control protocol.
 //   - The public facade's Cluster (package twoldag) is many Devices in
 //     one process on a shared fabric — in-memory or loopback TCP — with
-//     one AckTracker fed by the receivers' own delivery events, where
-//     Hosts acknowledge with wire-level DigestAck frames.
+//     one AckTracker fed by the receivers' own DigestBatchDelivered
+//     events, where Hosts acknowledge with wire-level DigestAck frames.
+//
+// Every flush, of one digest or many, leaves a device as one
+// announcement frame per neighbor and is acknowledged as one delivery
+// event per receiver.
 package cluster
 
 import (
@@ -42,7 +46,7 @@ type Waiter struct {
 func (w *Waiter) Done() <-chan struct{} { return w.done }
 
 // AckTracker resolves digest announcements to waiting submitters. It
-// observes the receiver-side DigestAnnounced event from every node —
+// observes the receiver-side DigestBatchDelivered event from every node —
 // delivered directly by in-process receivers, or synthesized from
 // wire-level DigestAck frames in cross-process clusters — replacing
 // sleep-polls over neighbor caches with event-driven acknowledgement.
@@ -74,16 +78,8 @@ func (t *AckTracker) Expect(d digest.Digest, neighbors []identity.NodeID) *Waite
 	return w
 }
 
-// OnDigestAnnounced implements events.Observer: one neighbor cached d.
-func (t *AckTracker) OnDigestAnnounced(e events.DigestAnnounced) {
-	t.mu.Lock()
-	t.resolve(e.Digest, e.To)
-	t.mu.Unlock()
-}
-
 // OnDigestBatchDelivered implements events.Observer: one neighbor
-// ingested a whole coalesced flush, acknowledging every digest it
-// carried at once.
+// ingested a flush, acknowledging every digest it carried at once.
 func (t *AckTracker) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
 	t.mu.Lock()
 	for _, d := range e.Digests {
@@ -153,12 +149,11 @@ func (t *AckTracker) Await(ctx context.Context, origin identity.NodeID, d digest
 	}
 }
 
-// AwaitRetry is Await with a retry policy: each missing
-// acknowledgement re-sends the digest — only to the neighbors still
-// pending, via the resend callback — after an exponential backoff, up
-// to MaxAttempts total announcement rounds. Retries are ack-driven,
-// never blind: a loss-free run sends exactly one frame per link and
-// takes the plain Await path. obs, when non-nil, sees each
+// AwaitRetry is Await with a retry policy: while acknowledgements are
+// missing, it calls resend for each neighbor still pending after an
+// exponential backoff, up to MaxAttempts total announcement rounds.
+// Retries are ack-driven, never blind: a loss-free run sends exactly
+// one frame per link and takes the plain Await path. obs, when non-nil, sees each
 // RetryAttempted.
 func (t *AckTracker) AwaitRetry(
 	ctx context.Context,
@@ -167,7 +162,7 @@ func (t *AckTracker) AwaitRetry(
 	w *Waiter,
 	retry faults.RetryPolicy,
 	obs events.Observer,
-	resend func(ctx context.Context, nb identity.NodeID, d digest.Digest),
+	resend func(ctx context.Context, nb identity.NodeID),
 ) error {
 	if !retry.Enabled() {
 		return t.Await(ctx, origin, d, w)
@@ -196,7 +191,7 @@ func (t *AckTracker) AwaitRetry(
 					Node: origin, Peer: nb, Announce: true, Attempt: attempt,
 				})
 			}
-			resend(ctx, nb, d)
+			resend(ctx, nb)
 		}
 	}
 	return t.Await(ctx, origin, d, w)

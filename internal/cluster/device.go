@@ -215,10 +215,11 @@ func (d *Device) PendingBlocks() int {
 }
 
 // Announce sends sealed digests (in seal order) to every radio
-// neighbor, one coalesced frame per neighbor, and adds one
-// acknowledgement wait per digest to acks. Under a batched sync policy
-// it first commits the WAL window, so the blocks are durable before
-// any neighbor learns their digests. SyncAlways already committed per
+// neighbor, one frame per neighbor, and adds one acknowledgement wait
+// per digest to acks. ds must stay unmodified until acks resolve:
+// retries resend from it. Under a batched sync policy it first
+// commits the WAL window, so the blocks are durable before any
+// neighbor learns their digests. SyncAlways already committed per
 // block at seal time, and SyncInterval is decoupled from flushes.
 func (d *Device) Announce(ctx context.Context, ds []digest.Digest, acks *Acks) error {
 	if d.cfg.Sync.Batched() {
@@ -227,8 +228,8 @@ func (d *Device) Announce(ctx context.Context, ds []digest.Digest, acks *Acks) e
 		}
 	}
 	live := d.liveNeighbors()
-	for _, dg := range ds {
-		acks.items = append(acks.items, pendingAck{dev: d, d: dg, w: d.cfg.Tracker.Expect(dg, live)})
+	for i, dg := range ds {
+		acks.items = append(acks.items, pendingAck{dev: d, run: ds[i:], w: d.cfg.Tracker.Expect(dg, live)})
 	}
 	d.node.AnnounceBatch(ctx, ds)
 	return nil
@@ -323,9 +324,11 @@ type Acks struct {
 	items []pendingAck
 }
 
+// pendingAck is one digest's acknowledgement wait. run is the digest
+// followed by every digest announced after it in the same flush.
 type pendingAck struct {
 	dev *Device
-	d   digest.Digest
+	run []digest.Digest
 	w   *Waiter
 }
 
@@ -333,9 +336,12 @@ type pendingAck struct {
 // digest. A device with a retry policy re-sends each missing
 // announcement, only to the neighbors still pending, after an
 // exponential backoff; those waits run on one goroutine per digest so
-// every retry clock runs at once. Without retry the waits run in line.
-// On failure every outstanding wait is cancelled and the first error,
-// in announcement order, is returned.
+// every retry clock runs at once. A resend carries the digest together
+// with every newer digest of its flush, so whichever resend lands last
+// still leaves the flush's newest digest in the neighbor's A_i.
+// Without retry the waits run in line. On failure every outstanding
+// wait is cancelled and the first error, in announcement order, is
+// returned.
 func (a *Acks) Await(ctx context.Context) error {
 	errs := make([]error, len(a.items))
 	var wg sync.WaitGroup
@@ -363,12 +369,13 @@ func (a *Acks) Await(ctx context.Context) error {
 
 func (p *pendingAck) await(ctx context.Context) error {
 	dev := p.dev
-	return dev.cfg.Tracker.AwaitRetry(ctx, dev.ID(), p.d, p.w, dev.cfg.Retry, dev.obs, dev.node.AnnounceTo)
+	return dev.cfg.Tracker.AwaitRetry(ctx, dev.ID(), p.run[0], p.w, dev.cfg.Retry, dev.obs,
+		func(ctx context.Context, nb identity.NodeID) { dev.node.AnnounceTo(ctx, nb, p.run) })
 }
 
 // Cancel abandons every collected wait.
 func (a *Acks) Cancel() {
 	for _, p := range a.items {
-		p.dev.cfg.Tracker.Cancel(p.d)
+		p.dev.cfg.Tracker.Cancel(p.run[0])
 	}
 }

@@ -5,12 +5,17 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/transport"
+	"github.com/twoldag/twoldag/internal/wire"
 )
 
 // waitGoroutines polls until the goroutine count is back at baseline,
@@ -110,4 +115,100 @@ func TestHostCloseReleasesGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, baseline)
+}
+
+// countingTransport counts the frames a device sends and, when drop
+// is set, silently loses the first one.
+type countingTransport struct {
+	transport.Transport
+	drop bool
+	sent atomic.Int32
+}
+
+func (t *countingTransport) Send(ctx context.Context, to identity.NodeID, msg *wire.Message) error {
+	if t.sent.Add(1) == 1 && t.drop {
+		return nil
+	}
+	return t.Transport.Send(ctx, to, msg)
+}
+
+// TestRetriedFlushLeavesNewestDigest: a device announces [a, b] and
+// the frame is lost. Each digest's wait then retries on its own
+// jittered clock, so the resends can land in either order; whichever
+// lands last, the neighbor's A_i must end on b. Without the loss the
+// flush costs exactly one frame on the link.
+func TestRetriedFlushLeavesNewestDigest(t *testing.T) {
+	params := block.DefaultParams()
+	params.Difficulty = 2
+	g := topology.New(10)
+	for id, x := range []float64{0, 1} {
+		if err := g.AddNode(identity.NodeID(id), topology.Point{X: x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		for _, drop := range []bool{true, false} {
+			pairs := []identity.KeyPair{identity.Deterministic(0, seed), identity.Deterministic(1, seed)}
+			ring, err := identity.RingFor(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			netw := transport.NewNetwork()
+			tracker := NewAckTracker()
+			var out *countingTransport
+			devs := make([]*Device, len(pairs))
+			for i, kp := range pairs {
+				ep, err := netw.Endpoint(kp.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var tr transport.Transport = ep
+				if i == 0 {
+					out = &countingTransport{Transport: ep, drop: drop}
+					tr = out
+				}
+				devs[i], err = NewDevice(DeviceConfig{
+					Key: kp, Params: params, Topo: g, Ring: ring, Transport: tr,
+					Clock:          func() uint32 { return 1 },
+					Live:           func(identity.NodeID) bool { return true },
+					Gamma:          1,
+					RequestTimeout: time.Second,
+					Retry:          faults.RetryPolicy{MaxAttempts: 4, BaseDelay: 20 * time.Millisecond, MaxDelay: 250 * time.Millisecond, Jitter: 0.5, Seed: seed},
+					Tracker:        tracker,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			snd, rcv := devs[0], devs[1]
+			_, a, err := snd.Seal([]byte("a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, b, err := snd.Seal([]byte("b"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			var acks Acks
+			if err := snd.Announce(ctx, []digest.Digest{a, b}, &acks); err != nil {
+				t.Fatal(err)
+			}
+			err = acks.Await(ctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("seed %d, drop %v: %v", seed, drop, err)
+			}
+			if got, _ := rcv.node.Engine().Cache().Get(snd.ID()); got != b {
+				t.Errorf("seed %d, drop %v: receiver holds %v, want the newest digest %v (older %v)", seed, drop, got, b, a)
+			}
+			if n := out.sent.Load(); !drop && n != 1 {
+				t.Errorf("seed %d: loss-free flush sent %d frames, want 1", seed, n)
+			}
+			for _, d := range devs {
+				_ = d.Close()
+			}
+			_ = netw.Close()
+		}
+	}
 }

@@ -169,9 +169,10 @@ func (e *Engine) VerifyCache() *block.VerifyCache { return e.vcache }
 
 // OnDigest ingests a digest announcement from a neighbor, replacing
 // that neighbor's entry in A_i (Sec. III-D). Announcements from
-// non-neighbors are rejected. It is the singleton shim over
-// OnDigestBatch; transports and schedulers that collect a whole slot's
-// announcements deliver them in one OnDigestBatch call instead.
+// non-neighbors are rejected. Because A_i keeps only a sender's newest
+// digest, a run of announcements from one sender ingests as one
+// OnDigest of the run's newest digest; schedulers that collect a whole
+// slot's announcements from many senders use OnDigestBatch.
 func (e *Engine) OnDigest(from identity.NodeID, d digest.Digest) error {
 	if !e.topo.IsNeighbor(e.key.ID, from) {
 		return fmt.Errorf("%w: %v -> %v", ErrNotNeighbor, from, e.key.ID)
@@ -203,23 +204,6 @@ func (e *Engine) OnDigestBatch(from []identity.NodeID, ds []digest.Digest) error
 		}
 	}
 	e.cache.UpdateBatch(from, ds)
-	return nil
-}
-
-// OnDigestsFrom ingests one neighbor's run of announcements in seal
-// order — the shape a wire DigestBatch frame carries. Because A_i
-// keeps only the sender's newest digest, the whole run costs one
-// neighbor check and one cache update regardless of length; the
-// all-or-nothing and ordering contracts match OnDigestBatch with a
-// repeated sender column.
-func (e *Engine) OnDigestsFrom(from identity.NodeID, ds []digest.Digest) error {
-	if len(ds) == 0 {
-		return nil
-	}
-	if !e.topo.IsNeighbor(e.key.ID, from) {
-		return fmt.Errorf("%w: %v -> %v", ErrNotNeighbor, from, e.key.ID)
-	}
-	e.cache.Update(from, ds[len(ds)-1])
 	return nil
 }
 

@@ -50,11 +50,11 @@ func TestOnDigestBatchMatchesSingletons(t *testing.T) {
 	}
 }
 
-// TestOnDigestsFromMatchesRepeatedSenderBatch pins the single-sender
-// fast path (one neighbor check, one cache update): it must leave A_i
-// exactly as OnDigestBatch with a repeated sender column, and reject
-// non-neighbors identically.
-func TestOnDigestsFromMatchesRepeatedSenderBatch(t *testing.T) {
+// TestOnDigestMatchesRepeatedSenderBatch pins how a live node ingests
+// one sender's run (one neighbor check, one cache update of the
+// newest digest): it must leave A_i exactly as OnDigestBatch with a
+// repeated sender column, and reject non-neighbors identically.
+func TestOnDigestMatchesRepeatedSenderBatch(t *testing.T) {
 	g := topology.PaperFig4()
 	fast := newLab(t, g)
 	slow := newLab(t, g)
@@ -65,8 +65,8 @@ func TestOnDigestsFromMatchesRepeatedSenderBatch(t *testing.T) {
 		digest.Sum([]byte("two")),
 		digest.Sum([]byte("three")),
 	}
-	if err := fast.engines[recv].OnDigestsFrom(from, ds); err != nil {
-		t.Fatalf("OnDigestsFrom: %v", err)
+	if err := fast.engines[recv].OnDigest(from, ds[len(ds)-1]); err != nil {
+		t.Fatalf("OnDigest: %v", err)
 	}
 	col := []identity.NodeID{from, from, from}
 	if err := slow.engines[recv].OnDigestBatch(col, ds); err != nil {
@@ -84,11 +84,11 @@ func TestOnDigestsFromMatchesRepeatedSenderBatch(t *testing.T) {
 			break
 		}
 	}
-	if err := fast.engines[recv].OnDigestsFrom(stranger, ds); !errors.Is(err, ErrNotNeighbor) {
+	if err := fast.engines[recv].OnDigest(stranger, ds[len(ds)-1]); !errors.Is(err, ErrNotNeighbor) {
 		t.Fatalf("want ErrNotNeighbor, got %v", err)
 	}
-	if err := fast.engines[recv].OnDigestsFrom(from, nil); err != nil {
-		t.Fatalf("empty run must be a no-op, got %v", err)
+	if err := slow.engines[recv].OnDigestBatch([]identity.NodeID{stranger}, ds[:1]); !errors.Is(err, ErrNotNeighbor) {
+		t.Fatalf("batch: want ErrNotNeighbor, got %v", err)
 	}
 }
 

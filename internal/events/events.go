@@ -1,17 +1,15 @@
 // Package events defines the typed observation stream of a running
 // 2LDAG deployment. Every driver — the live node-per-device cluster
-// and the deterministic slot simulator — emits the same six event
+// and the deterministic slot simulator — emits the same five event
 // kinds at the same protocol moments, so metrics aggregation, test
 // instrumentation and user dashboards are written once against this
 // vocabulary instead of per-driver ad-hoc counters:
 //
 //   - BlockSealed          — a node sealed its next data block (Sec. III-D).
-//   - DigestAnnounced      — a neighbor ingested a single header-digest
-//     announcement into its A_i cache (receiver side, so the event
-//     doubles as a delivery acknowledgement).
-//   - DigestBatchDelivered — a neighbor ingested a whole batch of
-//     announcements in one receiver-side pass (the batched delivery
-//     path; one event per receiver per flush instead of one per edge).
+//   - DigestBatchDelivered — a neighbor ingested one flush of header-digest
+//     announcements, of any length, into its A_i cache in one
+//     receiver-side pass (one event per receiver per flush; receiver
+//     side, so the event doubles as a delivery acknowledgement).
 //   - AuditHop             — a PoP validator issued one REQ_CHILD probe
 //     (Sec. IV, Algorithm 3 line 17).
 //   - ConsensusReached     — an audit collected γ+1 distinct vouchers.
@@ -54,10 +52,11 @@ type BlockSealed struct {
 	Slot   uint32
 }
 
-// DigestAnnounced reports that To ingested From's announcement of
-// Digest into its neighbor cache A_i. It fires on the receiver, after
-// the DoS guard and the neighbor check accepted the announcement, so a
-// sender observing the event knows the digest truly landed.
+// DigestAnnounced names one sender's announcement of one digest to one
+// receiver.
+//
+// Deprecated: no driver emits it and Observer has no method for it;
+// every delivery, of any length, is a DigestBatchDelivered.
 type DigestAnnounced struct {
 	From, To identity.NodeID
 	Digest   digest.Digest
@@ -66,7 +65,7 @@ type DigestAnnounced struct {
 // DigestBatchDelivered reports that To ingested a whole batch of
 // announcements — From[i] announced Digests[i] — into its neighbor
 // cache A_i in one receiver-side pass. It fires once per receiver per
-// flush (a simulator slot, or one wire.DigestBatch frame), after every
+// flush (a simulator slot, or one wire announcement frame), after every
 // entry cleared the neighbor check, so a sender observing the event
 // knows its digests truly landed. The slices are shared with the
 // delivery path and only valid for the duration of the call: copy
@@ -185,7 +184,6 @@ type PeerRecovered struct {
 // about.
 type Observer interface {
 	OnBlockSealed(BlockSealed)
-	OnDigestAnnounced(DigestAnnounced)
 	OnDigestBatchDelivered(DigestBatchDelivered)
 	OnAuditHop(AuditHop)
 	OnConsensusReached(ConsensusReached)
@@ -201,7 +199,6 @@ type Observer interface {
 type Nop struct{}
 
 func (Nop) OnBlockSealed(BlockSealed)                   {}
-func (Nop) OnDigestAnnounced(DigestAnnounced)           {}
 func (Nop) OnDigestBatchDelivered(DigestBatchDelivered) {}
 func (Nop) OnAuditHop(AuditHop)                         {}
 func (Nop) OnConsensusReached(ConsensusReached)         {}
@@ -217,12 +214,6 @@ type multi []Observer
 func (m multi) OnBlockSealed(e BlockSealed) {
 	for _, o := range m {
 		o.OnBlockSealed(e)
-	}
-}
-
-func (m multi) OnDigestAnnounced(e DigestAnnounced) {
-	for _, o := range m {
-		o.OnDigestAnnounced(e)
 	}
 }
 

@@ -12,19 +12,19 @@ import (
 // holder of its own ledger S_i — a node that reboots and loses state
 // loses data nobody else stores). The ledger structures stay in-memory
 // and index-rich; durability is layered underneath them through a
-// Journal that observes every mutation, and a Backend that can compact
-// the journal into a snapshot and recover the whole node state after a
-// crash.
+// Journal that observes every mutation. FileBackend implements it and
+// also compacts the journal into a snapshot and recovers the whole
+// node state after a crash.
 //
 // # Sealed-immutability contract
 //
 // Every value handed to a Journal is sealed and immutable by the
 // codebase-wide contract (see the block package doc): Store.Append
 // seals before logging, TrustStore.Add stores sealed headers, and
-// digests are values. A Backend must treat them as read-only — it may
+// digests are values. A journal must treat them as read-only — it may
 // retain references across calls (they never mutate), and it must
 // never hand a logged block or header to anything that writes to it.
-// Conversely, everything a Backend returns from Recover must be fully
+// Conversely, everything FileBackend.Recover returns must be fully
 // sealed again: replay decodes wire bytes, so RecoverOptions.Params is
 // used to re-seal (block.Params.SealBlock) and — when a Ring is given
 // — re-verify each block before it re-enters a Store.
@@ -65,7 +65,7 @@ type Journal interface {
 // NodeState is the whole recoverable state of one node's ledger: the
 // own-block log S_i, the PoP trust store H_i (with its FIFO cap), and
 // the neighbor digest cache A_i. It is what snapshot v2 serializes and
-// what Backend.Recover returns.
+// what FileBackend.Recover returns.
 type NodeState struct {
 	Store *Store
 	Trust *TrustStore
@@ -98,7 +98,7 @@ func (st *NodeState) Attach(j Journal) {
 	st.Cache.SetJournal(j)
 }
 
-// RecoverOptions parameterizes Backend.Recover.
+// RecoverOptions parameterizes FileBackend.Recover.
 type RecoverOptions struct {
 	// Owner is the recovering node; a snapshot or WAL belonging to a
 	// different node fails recovery with ErrWrongOwner.
@@ -124,43 +124,18 @@ type RecoverOptions struct {
 	Workers int
 }
 
-// Backend is the pluggable durability layer under a node's ledger: a
-// Journal plus snapshot/recovery lifecycle. The in-memory default is
-// simply the absence of one (nil journal everywhere); FileBackend is
-// the file-backed implementation (append-only WAL + snapshot-v2
-// compaction).
+// Backend is the durability layer as a node's engine sees it: a
+// Journal plus the commit point of a batched SyncPolicy. The in-memory
+// default is simply the absence of one (nil journal everywhere);
+// FileBackend is the implementation (append-only WAL + snapshot-v2
+// compaction), and its owner calls the recovery and lifecycle methods
+// on it directly.
 type Backend interface {
 	Journal
-
-	// Recover rebuilds the node state recorded so far: snapshot first,
-	// then WAL replay (torn tails tolerated). On a fresh backend it
-	// returns an empty state. Call once, before attaching the backend
-	// as journal and before the node sees traffic.
-	Recover(opts RecoverOptions) (*NodeState, error)
-
-	// Compact folds the journal into a fresh snapshot. gather is
-	// called after the WAL has been rotated and must return a
-	// consistent view of the current state; mutations logged while the
-	// snapshot is written land in the new WAL generation and replay
-	// idempotently over the snapshot on recovery.
-	Compact(gather func() (*NodeState, error)) error
-
-	// PendingBlocks reports how many block records the current WAL
-	// generation holds — the compaction trigger.
-	PendingBlocks() int
 
 	// Commit closes the current commit window, fsyncing every staged
 	// block record: the acknowledgement point drivers invoke at their
 	// flush boundary under a batched SyncPolicy. A no-op when nothing
 	// is staged.
 	Commit() error
-
-	// Sync flushes and fsyncs everything logged so far, and surfaces
-	// any deferred journal error (trust/digest records are buffered;
-	// their write errors are sticky and reported here and on Close).
-	Sync() error
-
-	// Close syncs and releases the backend. Journal calls after Close
-	// return ErrBackendClosed.
-	Close() error
 }

@@ -154,10 +154,12 @@ func OpenFileBackend(dir string, opts ...BackendOption) (*FileBackend, error) {
 // Dir returns the backend's data directory.
 func (fb *FileBackend) Dir() string { return fb.dir }
 
-// Recover rebuilds the node state from snapshot + WAL (see Backend).
-// It then compacts immediately: the recovered state becomes a fresh
-// snapshot and the WAL restarts empty, so a crash loop cannot grow an
-// unbounded replay tail.
+// Recover rebuilds the node state recorded so far: snapshot first,
+// then WAL replay (torn tails tolerated). On a fresh backend it returns
+// an empty state. Call once, before attaching the backend as journal
+// and before the node sees traffic. It then compacts immediately: the
+// recovered state becomes a fresh snapshot and the WAL restarts empty,
+// so a crash loop cannot grow an unbounded replay tail.
 func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()

@@ -49,13 +49,8 @@ var _ events.Observer = (*EventCounters)(nil)
 // OnBlockSealed implements events.Observer.
 func (c *EventCounters) OnBlockSealed(events.BlockSealed) { c.blocksSealed.Add(1) }
 
-// OnDigestAnnounced implements events.Observer.
-func (c *EventCounters) OnDigestAnnounced(events.DigestAnnounced) { c.digestsAnnounced.Add(1) }
-
 // OnDigestBatchDelivered implements events.Observer: one batch counts
-// as one flush and len(Digests) accepted deliveries, so
-// DigestsAnnounced totals agree between the batched and singleton
-// delivery paths.
+// as one flush and len(Digests) accepted deliveries.
 func (c *EventCounters) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
 	c.digestBatches.Add(1)
 	c.digestsAnnounced.Add(int64(len(e.Digests)))

@@ -14,22 +14,22 @@ import (
 // contract structurally (the package itself stays ledger-free).
 var _ ledger.CommitObserver = (*EventCounters)(nil)
 
-// TestEventCountersBatchDelivery pins the batched-path aggregation:
-// one batch counts as one flush plus len(Digests) accepted
-// deliveries, so DigestsAnnounced agrees between delivery paths.
+// TestEventCountersBatchDelivery pins the delivery aggregation: one
+// batch counts as one flush plus len(Digests) accepted deliveries,
+// whatever its length.
 func TestEventCountersBatchDelivery(t *testing.T) {
 	var c EventCounters
-	c.OnDigestAnnounced(events.DigestAnnounced{From: 1, To: 2})
+	c.OnDigestBatchDelivered(events.DigestBatchDelivered{To: 2, From: []identity.NodeID{1}, Digests: make([]digest.Digest, 1)})
 	c.OnDigestBatchDelivered(events.DigestBatchDelivered{
 		To:      2,
 		From:    []identity.NodeID{1, 3, 4},
 		Digests: make([]digest.Digest, 3),
 	})
 	if got := c.DigestsAnnounced(); got != 4 {
-		t.Fatalf("DigestsAnnounced = %d, want 1 singleton + 3 batched = 4", got)
+		t.Fatalf("DigestsAnnounced = %d, want 1 + 3 = 4", got)
 	}
-	if got := c.DigestBatchesDelivered(); got != 1 {
-		t.Fatalf("DigestBatchesDelivered = %d, want 1", got)
+	if got := c.DigestBatchesDelivered(); got != 2 {
+		t.Fatalf("DigestBatchesDelivered = %d, want 2", got)
 	}
 }
 
@@ -41,8 +41,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.OnBlockSealed(events.BlockSealed{})
 	}
-	c.OnDigestAnnounced(events.DigestAnnounced{})
-	c.OnDigestBatchDelivered(events.DigestBatchDelivered{From: []identity.NodeID{1, 2}, Digests: nil})
+	c.OnDigestBatchDelivered(events.DigestBatchDelivered{From: []identity.NodeID{1}, Digests: make([]digest.Digest, 1)})
 	c.OnAuditHop(events.AuditHop{})
 	c.OnConsensusReached(events.ConsensusReached{})
 	c.OnAuditFailed(events.AuditFailed{})

@@ -42,7 +42,7 @@ func (r *batchRecorder) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
 
 // TestAnnounceBatchCoalesces seals a run of blocks on one node and
 // flushes them with AnnounceBatch: every neighbor must receive one
-// DigestBatch frame carrying all digests in seal order, and its A_i
+// announcement frame carrying all digests in seal order, and its A_i
 // must end on the newest digest.
 func TestAnnounceBatchCoalesces(t *testing.T) {
 	g := topology.PaperFig6() // A-B-C chain
@@ -124,7 +124,7 @@ func TestAnnounceBatchCoalesces(t *testing.T) {
 
 // TestBatchCountsAgainstRateGuard pins the DoS defense on the batched
 // path: a single frame carrying more digests than AnnounceLimit bans
-// the sender just like the equivalent singleton flood.
+// the sender just like the equivalent flood of one-digest frames.
 func TestBatchCountsAgainstRateGuard(t *testing.T) {
 	g := topology.PaperFig6()
 	params := block.DefaultParams()

@@ -2,8 +2,8 @@
 // combining the core engine (block generation, digest cache), the
 // Algorithm 4 responder, a PoP validator and a transport. Nodes
 // exchange real wire messages — digest announcements on generation
-// (Sec. III-D), singly or coalesced into one DigestBatch frame per
-// neighbor per flush (AnnounceBatch), REQ_CHILD/RPY_CHILD and block
+// (Sec. III-D), one frame per neighbor per flush however many digests
+// it carries (AnnounceBatch), REQ_CHILD/RPY_CHILD and block
 // retrievals during PoP (Sec. IV) — over either the in-memory fabric
 // or TCP.
 //
@@ -110,7 +110,7 @@ type Node struct {
 	lastAnns map[identity.NodeID][]time.Time
 
 	// batchFrom is the scratch sender column for DigestBatchDelivered
-	// events on single-sender wire batches. It is only touched from
+	// events on single-sender wire frames. It is only touched from
 	// the RPC dispatch goroutine (handle runs serially), so no lock is
 	// needed, and the event contract lets observers see it only for
 	// the duration of the call.
@@ -249,8 +249,6 @@ func (n *Node) handle(env transport.Envelope) {
 	ctx := context.Background()
 	switch msg.Kind {
 	case wire.KindDigestAnnounce:
-		n.onAnnounce(ctx, msg)
-	case wire.KindDigestBatch:
 		n.onAnnounceBatch(ctx, msg)
 	case wire.KindDigestAck:
 		n.onDigestAck(msg)
@@ -287,53 +285,26 @@ func (n *Node) ack(ctx context.Context, msg *wire.Message) {
 	_ = n.rpc.Reply(ctx, msg.From, wire.NewDigestAck(msg))
 }
 
-// onAnnounce ingests a digest announcement: idempotent-receive dedup
-// first (re-deliveries are free and side-effect-less), then the DoS
-// rate guard, then A_i.
-func (n *Node) onAnnounce(ctx context.Context, msg *wire.Message) {
-	from := msg.From
-	if n.seenBefore(from, msg.Digest) {
-		// Duplicate or retry of an ingested digest. Re-ack it: the
-		// retry means the original ack may have been lost, and without
-		// a fresh one the sender's pending wait never resolves.
-		n.ack(ctx, msg)
-		return
-	}
-	if !n.announceAllowed(from, 1) {
-		return // banned or flooding senders get no acknowledgement
-	}
-	if err := n.engine.OnDigest(from, msg.Digest); err != nil {
-		return // non-neighbors rejected inside
-	}
-	n.markSeen(from, msg.Digest)
-	if obs := n.cfg.Observer; obs != nil {
-		// Receiver-side event: the digest is now in A_i, so the sender
-		// can treat this as a delivery acknowledgement.
-		obs.OnDigestAnnounced(events.DigestAnnounced{From: from, To: n.ID(), Digest: msg.Digest})
-	}
-	n.ack(ctx, msg)
-}
-
-// onAnnounceBatch ingests a coalesced announcement frame: the DoS
-// guard charges the sender one announcement per carried digest, then
-// the whole batch enters A_i in one engine pass and is acknowledged
-// with a single receiver-side DigestBatchDelivered event. A flush
-// that would cross AnnounceLimit is dropped whole — unlike the
-// singleton flood, no under-limit prefix lands: a frame flooding past
-// the PoW-plausible rate is hostile end to end, and announcement loss
-// is tolerated anyway (neighbors pick up the next digest).
+// onAnnounceBatch ingests an announcement frame, a run of one or more
+// digests in seal order: the DoS guard charges the sender one
+// announcement per digest not yet ingested, then A_i takes the run's
+// newest digest and the fresh digests are acknowledged with a single
+// receiver-side DigestBatchDelivered event. A frame that would cross
+// AnnounceLimit is dropped whole: a frame flooding past the
+// PoW-plausible rate is hostile end to end, and announcement loss is
+// tolerated anyway (neighbors pick up the next digest).
 func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 	from := msg.From
 	if n.bl.Banned(from) {
 		return // cheap pre-check: banned peers don't get a decode
 	}
 	ds, err := msg.DecodeDigestBatchPayload()
-	if err != nil || len(ds) == 0 {
-		return // malformed or empty frames are dropped
+	if err != nil {
+		return // malformed frames are dropped
 	}
 	// Idempotent receive: drop already-ingested digests from the frame
-	// (in place, preserving seal order) so a re-delivered batch neither
-	// re-charges the rate guard nor regresses the latest-wins cache.
+	// (in place, preserving seal order) so a re-delivered frame neither
+	// re-charges the rate guard nor re-fires the delivery event.
 	fresh := ds[:0]
 	for _, d := range ds {
 		if !n.seenBefore(from, d) {
@@ -349,7 +320,10 @@ func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 	if !n.announceAllowed(from, len(fresh)) {
 		return // banned or flooding senders get no acknowledgement
 	}
-	if err := n.engine.OnDigestsFrom(from, fresh); err != nil {
+	// The newest digest goes into A_i even when it was seen before: a
+	// retry resends a run through its newest digest, so a retried older
+	// digest landing after that newest one must not become the entry.
+	if err := n.engine.OnDigest(from, msg.Digest); err != nil {
 		return // non-neighbors rejected inside
 	}
 	for _, d := range fresh {
@@ -363,10 +337,9 @@ func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 		n.batchFrom = froms
 		obs.OnDigestBatchDelivered(events.DigestBatchDelivered{To: n.ID(), From: froms, Digests: fresh})
 	}
-	// Note: the decode above consumed msg's payload copy, but NewDigestAck
-	// echoes the original payload bytes, so the ack still carries the
-	// full digest run — including any previously-seen suffix whose
-	// earlier ack may have been lost.
+	// NewDigestAck echoes the frame, not fresh, so the ack carries the
+	// full run — including any previously seen digest whose earlier ack
+	// may have been lost.
 	n.ack(ctx, msg)
 }
 
@@ -381,11 +354,6 @@ func (n *Node) onDigestAck(msg *wire.Message) {
 	}
 	ds, err := msg.DecodeDigestAckPayload()
 	if err != nil {
-		return
-	}
-	if ds == nil {
-		// Singleton announcement ack.
-		obs.OnDigestAnnounced(events.DigestAnnounced{From: n.ID(), To: msg.From, Digest: msg.Digest})
 		return
 	}
 	froms := n.batchFrom[:0]
@@ -433,19 +401,6 @@ func (n *Node) announceAllowed(from identity.NodeID, count int) bool {
 	return true
 }
 
-// Generate produces the node's next block from body and announces its
-// digest to every neighbor. Equivalent to GenerateLocal followed by
-// Announce; callers that need to observe the announcement (e.g. an
-// event-driven delivery ack) use the two halves directly.
-func (n *Node) Generate(ctx context.Context, body []byte) (*block.Block, error) {
-	b, d, err := n.GenerateLocal(body)
-	if err != nil {
-		return nil, err
-	}
-	n.Announce(ctx, d)
-	return b, nil
-}
-
 // GenerateLocal seals the node's next block from body — mined, signed
 // and appended to S_i — without announcing it, and returns the block
 // together with the digest to announce.
@@ -486,30 +441,21 @@ func (n *Node) sendAnnounce(ctx context.Context, nb identity.NodeID, msg *wire.M
 	}
 }
 
-// Announce broadcasts a sealed block's digest to every radio neighbor
-// (Sec. III-D). Losses are tolerated: neighbors that miss the digest
-// pick up the next one (A_i keeps only the latest anyway).
-func (n *Node) Announce(ctx context.Context, d digest.Digest) {
-	for _, nb := range n.cfg.Topo.Neighbors(n.ID()) {
-		n.AnnounceTo(ctx, nb, d)
-	}
-}
-
-// AnnounceTo sends one digest announcement to a single neighbor — the
-// targeted re-transmission path: a retrying submitter re-announces
-// only to the neighbors whose acknowledgement is still missing.
-// Receivers dedup on the digest, so re-sending an already-delivered
-// digest is free and side-effect-less.
-func (n *Node) AnnounceTo(ctx context.Context, nb identity.NodeID, d digest.Digest) {
-	n.sendAnnounce(ctx, nb, wire.NewDigestAnnounce(n.ID(), nb, d, n.rpc.NextNonce()))
+// AnnounceTo sends one announcement frame carrying the run ds (in seal
+// order, not empty) to a single neighbor — the targeted
+// re-transmission path: a retrying submitter re-announces only to the
+// neighbors whose acknowledgement is still missing. Receivers dedup on
+// the digest, so re-sending an already-delivered digest is free and
+// side-effect-less.
+func (n *Node) AnnounceTo(ctx context.Context, nb identity.NodeID, ds []digest.Digest) {
+	n.sendAnnounce(ctx, nb, wire.NewDigestBatch(n.ID(), nb, ds, n.rpc.NextNonce()))
 }
 
 // AnnounceBatch broadcasts a run of sealed digests (in seal order) to
-// every radio neighbor, coalesced into one DigestBatch frame per
-// neighbor — one frame per (sender, receiver) pair per flush instead
-// of one per digest. A single digest falls back to the singleton
-// DigestAnnounce frame. Losses are tolerated exactly as with
-// Announce.
+// every radio neighbor (Sec. III-D), one announcement frame per
+// neighbor however long the run. Losses are tolerated: neighbors that
+// miss a frame pick up the next one (A_i keeps only the latest
+// anyway).
 //
 // Retry/idempotency contract: announcement delivery is at-least-once
 // when a caller retries (AnnounceTo) and exactly-once in effect —
@@ -518,11 +464,7 @@ func (n *Node) AnnounceTo(ctx context.Context, nb identity.NodeID, d digest.Dige
 // rate guard, never regresses A_i's latest-wins entry, and never
 // re-fires the delivery acknowledgement event.
 func (n *Node) AnnounceBatch(ctx context.Context, ds []digest.Digest) {
-	switch len(ds) {
-	case 0:
-		return
-	case 1:
-		n.Announce(ctx, ds[0])
+	if len(ds) == 0 {
 		return
 	}
 	// One frame shared across neighbors: the digest concatenation is

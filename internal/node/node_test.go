@@ -25,7 +25,7 @@ type delivery struct {
 
 // deliveryLog is the event-driven replacement for the old sleep-poll
 // deadline loops: it records every receiver-side ingest event
-// (DigestAnnounced fires after A_i accepted the digest) and lets tests
+// (DigestBatchDelivered fires after A_i accepted the run) and lets tests
 // block until a specific delivery happened, woken by the event itself
 // instead of a timer.
 type deliveryLog struct {
@@ -37,10 +37,6 @@ type deliveryLog struct {
 
 func newDeliveryLog() *deliveryLog {
 	return &deliveryLog{seen: make(map[delivery]struct{}), signal: make(chan struct{})}
-}
-
-func (l *deliveryLog) OnDigestAnnounced(e events.DigestAnnounced) {
-	l.record(delivery{e.From, e.To, e.Digest})
 }
 
 func (l *deliveryLog) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
@@ -136,11 +132,12 @@ func newCluster(t *testing.T, g *topology.Graph, gamma int) *cluster {
 // digest announcements to land.
 func (c *cluster) generate(id identity.NodeID) *block.Block {
 	c.t.Helper()
-	b, err := c.nodes[id].Generate(context.Background(), []byte(fmt.Sprintf("body %v %d", id, c.slot)))
+	b, d, err := c.nodes[id].GenerateLocal([]byte(fmt.Sprintf("body %v %d", id, c.slot)))
 	if err != nil {
-		c.t.Fatalf("Generate(%v): %v", id, err)
+		c.t.Fatalf("GenerateLocal(%v): %v", id, err)
 	}
-	c.waitForDigest(id, b.Header.Hash())
+	c.nodes[id].AnnounceBatch(context.Background(), []digest.Digest{d})
+	c.waitForDigest(id, d)
 	return b
 }
 
@@ -334,7 +331,7 @@ func TestNonNeighborAnnouncementIgnored(t *testing.T) {
 	// already judged.
 	nb := c.topo.Neighbors(0)[0]
 	sentinel := digest.Sum([]byte("sentinel"))
-	c.nodes[nb].AnnounceTo(ctx, 0, sentinel)
+	c.nodes[nb].AnnounceTo(ctx, 0, []digest.Digest{sentinel})
 	c.log.wait(t, nb, 0, sentinel)
 	if _, ok := c.nodes[0].Engine().Cache().Get(4); ok {
 		t.Fatal("non-neighbor digest accepted")
@@ -394,13 +391,14 @@ func TestLiveClusterOverTCP(t *testing.T) {
 	ctx := context.Background()
 	gen := func(id identity.NodeID) {
 		t.Helper()
-		b, err := nodes[id].Generate(ctx, []byte(fmt.Sprintf("tcp body %v %d", id, slot)))
+		_, d, err := nodes[id].GenerateLocal([]byte(fmt.Sprintf("tcp body %v %d", id, slot)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		nodes[id].AnnounceBatch(ctx, []digest.Digest{d})
 		// Wait for the ingest events to fire over real sockets.
 		for _, nb := range g.Neighbors(id) {
-			log.wait(t, id, nb, b.Header.Hash())
+			log.wait(t, id, nb, d)
 		}
 	}
 	slot = 1
@@ -441,36 +439,28 @@ func TestNodeConfigValidation(t *testing.T) {
 // frames rather than observed at the receiver.
 type ackCounter struct {
 	events.Nop
-	mu      sync.Mutex
-	singles int
-	batched int
-	signal  chan struct{}
+	mu     sync.Mutex
+	acked  int
+	signal chan struct{}
 }
 
 func newAckCounter() *ackCounter { return &ackCounter{signal: make(chan struct{})} }
 
-func (c *ackCounter) OnDigestAnnounced(events.DigestAnnounced) {
-	c.mu.Lock()
-	c.singles++
-	close(c.signal)
-	c.signal = make(chan struct{})
-	c.mu.Unlock()
-}
-
 func (c *ackCounter) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
 	c.mu.Lock()
-	c.batched += len(e.Digests)
+	c.acked += len(e.Digests)
 	close(c.signal)
 	c.signal = make(chan struct{})
 	c.mu.Unlock()
 }
 
-func (c *ackCounter) wait(t *testing.T, cond func(singles, batched int) bool) {
+// wait blocks until at least want digests were acknowledged.
+func (c *ackCounter) wait(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
 		c.mu.Lock()
-		ok := cond(c.singles, c.batched)
+		ok := c.acked >= want
 		sig := c.signal
 		c.mu.Unlock()
 		if ok {
@@ -480,7 +470,7 @@ func (c *ackCounter) wait(t *testing.T, cond func(singles, batched int) bool) {
 		case <-sig:
 		case <-deadline:
 			c.mu.Lock()
-			t.Fatalf("ack events never arrived: singles=%d batched=%d", c.singles, c.batched)
+			t.Fatalf("ack events never arrived: %d of %d digests acknowledged", c.acked, want)
 		}
 	}
 }
@@ -532,15 +522,15 @@ func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes[1].AnnounceTo(ctx, 2, d)
-	counter.wait(t, func(s, b int) bool { return s >= 1 })
+	nodes[1].AnnounceTo(ctx, 2, []digest.Digest{d})
+	counter.wait(t, 1)
 
 	// Retry of the same digest: the receiver dedups the ingest but must
 	// re-ack, or a submitter whose first ack was lost waits forever.
-	nodes[1].AnnounceTo(ctx, 2, d)
-	counter.wait(t, func(s, b int) bool { return s >= 2 })
+	nodes[1].AnnounceTo(ctx, 2, []digest.Digest{d})
+	counter.wait(t, 2)
 
-	// Batch path: one coalesced frame, one ack carrying both digests.
+	// A longer run: one frame, one ack carrying both digests.
 	_, d2, err := nodes[1].GenerateLocal([]byte("acked-2"))
 	if err != nil {
 		t.Fatal(err)
@@ -550,9 +540,9 @@ func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[1].AnnounceBatch(ctx, []digest.Digest{d2, d3})
-	counter.wait(t, func(s, b int) bool { return b >= 2 })
+	counter.wait(t, 4)
 
 	// Pure-duplicate batch: every digest already ingested, full re-ack.
 	nodes[1].AnnounceBatch(ctx, []digest.Digest{d2, d3})
-	counter.wait(t, func(s, b int) bool { return b >= 4 })
+	counter.wait(t, 6)
 }

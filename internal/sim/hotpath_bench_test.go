@@ -11,11 +11,10 @@ import (
 
 // BenchmarkAnnounceBatch isolates the announcement phase at the
 // paper's 50-node scale: one op delivers a full slot's digests (one
-// per node) to every live neighbor's A_i cache. "batched" is the
+// per node) to every live neighbor's A_i cache through the
 // receiver-centric path phase 2 rides — grouped by receiver, one
 // Engine.OnDigestBatch per receiver on the worker pool, zero
-// allocations per flush — and "singleton" the per-edge OnDigest loop
-// it replaced.
+// allocations per flush.
 func BenchmarkAnnounceBatch(b *testing.B) {
 	newSim := func(b *testing.B) (*Sim, []identity.NodeID, []digest.Digest) {
 		b.Helper()
@@ -41,18 +40,6 @@ func BenchmarkAnnounceBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := s.deliverBatched(froms, ds); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("singleton", func(b *testing.B) {
-		s, froms, ds := newSim(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k, id := range froms {
-				if err := s.announce(id, ds[k]); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
 	})

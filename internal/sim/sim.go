@@ -481,9 +481,9 @@ func (s *Sim) blockModelBits(h *block.Header) int64 {
 //     ingested as one per-receiver batch (Engine.OnDigestBatch) on the
 //     worker pool: each receiver's A_i is touched by exactly one
 //     goroutine, so delivery parallelizes without contention. Inside a
-//     batch the (sender, digest) pairs keep slot order — the order the
-//     serial scheduler would have applied them — so cache contents are
-//     bit-identical to singleton delivery.
+//     batch the (sender, digest) pairs keep slot order — the order a
+//     serial per-edge delivery would apply them — so cache contents do
+//     not depend on the worker count.
 //  3. Audit duty — each generating honest node runs one PoP audit, in
 //     parallel; responder comm charges are atomic, and all random
 //     draws come from the auditing node's own stream.
@@ -578,32 +578,13 @@ func (s *Sim) Step() error {
 	return nil
 }
 
-// announce delivers a freshly sealed digest to every live neighbor's
-// A_i cache, emitting the receiver-side DigestAnnounced event. It is
-// the singleton shim over the batched delivery path (deliverBatched),
-// kept for one-at-a-time external drive (SubmitAs/AnnounceAs).
-func (s *Sim) announce(id identity.NodeID, d digest.Digest) error {
-	s.annNbs = s.graph.AppendNeighbors(s.annNbs[:0], id)
-	for _, nb := range s.annNbs {
-		eng, live := s.engineOf(nb)
-		if !live {
-			continue // silenced neighbors miss the announcement
-		}
-		if err := eng.OnDigest(id, d); err != nil {
-			return fmt.Errorf("sim: announcing %v -> %v: %w", id, nb, err)
-		}
-		s.obs.OnDigestAnnounced(events.DigestAnnounced{From: id, To: nb, Digest: d})
-	}
-	return nil
-}
-
 // deliverBatched is the receiver-centric announcement path: one
 // flush's (froms[i] announced ds[i]) pairs are grouped by receiving
 // neighbor and ingested as one Engine.OnDigestBatch call per receiver
 // on the worker pool. Each receiver's cache is touched by exactly one
 // goroutine, so the phase parallelizes contention-free, and every
 // batch keeps its pairs in flush order — bit-identical cache contents
-// to serial singleton delivery, for any worker count. Silenced
+// to serial per-edge delivery, for any worker count. Silenced
 // neighbors miss the flush, like a dead radio. The per-receiver
 // scratch columns are reused across flushes, so a full slot's
 // delivery allocates nothing.
@@ -779,7 +760,7 @@ func (s *Sim) Run() (*Report, error) {
 // schedule the figures use and read the report with Finalize. Every
 // slot completes before RunSlots returns, so membership changes and
 // more RunSlots calls may follow. Do not mix RunSlots with the
-// external-drive verbs (SubmitAs, AuditFrom) on the same Sim.
+// external-drive verbs (GenerateAs, AuditFrom) on the same Sim.
 func (s *Sim) RunSlots(n int) error {
 	for i := 0; i < n; i++ {
 		if err := s.Step(); err != nil {
@@ -834,25 +815,12 @@ func (s *Sim) AdvanceSlot() {
 	s.slot++
 }
 
-// SubmitAs makes node id seal body into its next block and announce
-// the digest to its live neighbors, charging construction traffic to
-// the size model exactly as the slotted scheduler does.
-func (s *Sim) SubmitAs(id identity.NodeID, body []byte) (block.Ref, error) {
-	ref, d, err := s.GenerateAs(id, body)
-	if err != nil {
-		return block.Ref{}, err
-	}
-	if err := s.AnnounceAs(id, d); err != nil {
-		return block.Ref{}, err
-	}
-	return ref, nil
-}
-
 // GenerateAs seals node id's next block from body without announcing
-// it, returning the block ref and the digest to announce. Batch
-// submitters generate a whole slot's blocks first and then flush all
-// announcements with AnnounceAs, mirroring the slotted scheduler's
-// generation/announcement phase split.
+// it, returning the block ref and the digest to announce, and charges
+// construction traffic to the size model exactly as the slotted
+// scheduler does. Submitters generate a whole batch's blocks first and
+// then flush all announcements with AnnounceBatch, mirroring the
+// slotted scheduler's generation/announcement phase split.
 func (s *Sim) GenerateAs(id identity.NodeID, body []byte) (block.Ref, digest.Digest, error) {
 	i, known := s.idx[id]
 	if !known || s.engines[i] == nil {
@@ -872,19 +840,12 @@ func (s *Sim) GenerateAs(id identity.NodeID, body []byte) (block.Ref, digest.Dig
 	return b.Header.Ref(), d, nil
 }
 
-// AnnounceAs delivers a digest returned by GenerateAs to id's live
-// neighbors, one at a time (the singleton path; batch submitters use
-// AnnounceBatch).
-func (s *Sim) AnnounceAs(id identity.NodeID, d digest.Digest) error {
-	return s.announce(id, d)
-}
-
 // AnnounceBatch flushes a whole batch of digests returned by
 // GenerateAs — froms[i] announced ds[i] — through the same
 // receiver-centric delivery the slotted scheduler uses: grouped by
 // receiving neighbor, one batch ingest per receiver on the worker
 // pool, pairs in flush order. This is the external-drive verb behind
-// the public SubmitBatch.
+// the public Submit and SubmitBatch.
 func (s *Sim) AnnounceBatch(froms []identity.NodeID, ds []digest.Digest) error {
 	if len(froms) != len(ds) {
 		return fmt.Errorf("sim: announce batch length mismatch: %d senders, %d digests", len(froms), len(ds))

@@ -1,10 +1,10 @@
 // Package wire defines the 2LDAG message vocabulary and its binary
 // encoding. The protocol has exactly the message families the paper
 // names (Sec. IV-D5): digest announcements (block generation,
-// Sec. III-D) — singly (DigestAnnounce) or coalesced into one frame
-// per neighbor per flush (DigestBatch) — REQ_CHILD / RPY_CHILD (PoP,
-// Sec. IV), plus the block retrieval pair a validator uses to fetch
-// the verifier's full block (Algorithm 3 line 2). Every message
+// Sec. III-D), one frame per neighbor per flush whatever the number
+// of digests — REQ_CHILD / RPY_CHILD (PoP, Sec. IV), plus the block
+// retrieval pair a validator uses to fetch the verifier's full block
+// (Algorithm 3 line 2). Every message
 // carries an anti-replay nonce and a correlation ID for
 // request/response matching.
 package wire
@@ -25,8 +25,11 @@ import (
 type Kind uint8
 
 const (
-	// KindDigestAnnounce carries H(b^h) from a block's origin to one
-	// neighbor.
+	// KindDigestAnnounce carries a run of one or more sealed digests
+	// H(b^h) from a block's origin to one neighbor: Digest holds the
+	// run's newest digest (the one that ends up in A_i), and Payload
+	// the older digests in seal order, empty for a run of one. The run
+	// length is len(Payload)/digest.Size + 1.
 	KindDigestAnnounce Kind = iota + 1
 	// KindReqChild asks a node for the oldest of its blocks whose Δ
 	// contains Target.
@@ -39,16 +42,14 @@ const (
 	KindBlockResp
 	// KindNotFound is a negative response to ReqChild or GetBlock.
 	KindNotFound
-	// KindDigestBatch carries every digest a node announces to one
-	// neighbor in a single frame — one frame per (sender, receiver)
-	// pair per flush instead of one per digest. The payload is the
-	// concatenation of the digests in seal order (the length prefix of
-	// the payload field frames the batch; the digest count is
-	// len(Payload)/digest.Size).
-	KindDigestBatch
+	// kindRetired was the value of a separate multi-digest
+	// announcement frame. KindDigestAnnounce carries runs of any length
+	// now; the value stays reserved so the later kinds keep their
+	// numbers, and Decode rejects it.
+	kindRetired
 	// KindDigestAck acknowledges an announcement frame back to its
-	// sender: the Digest field (and, for batch acks, the echoed digest
-	// concatenation in the payload) names what the receiver ingested.
+	// sender: the Digest and Payload fields echo the announced run, so
+	// they name what the receiver ingested.
 	// Cross-process clusters use it to complete the submitter's
 	// event-driven acknowledgement wait — in-process fabrics observe
 	// the receiver's delivery events directly and never send it.
@@ -97,8 +98,6 @@ func (k Kind) String() string {
 		return "BLOCK_RESP"
 	case KindNotFound:
 		return "NOT_FOUND"
-	case KindDigestBatch:
-		return "DIGEST_BATCH"
 	case KindDigestAck:
 		return "DIGEST_ACK"
 	case KindHello:
@@ -113,7 +112,7 @@ func (k Kind) String() string {
 }
 
 // Valid reports whether k is a known kind.
-func (k Kind) Valid() bool { return k >= KindDigestAnnounce && k < kindMax }
+func (k Kind) Valid() bool { return k >= KindDigestAnnounce && k < kindMax && k != kindRetired }
 
 // IsResponse reports whether the kind answers a prior request.
 // DigestAck is deliberately not a response: it acknowledges an
@@ -146,33 +145,34 @@ type Message struct {
 	// Nonce is the anti-replay nonce of Sec. IV-D5.
 	Nonce uint64
 
-	// Digest is the announced digest (DigestAnnounce) or the PoP target
-	// H(b^h_v,t) (ReqChild).
+	// Digest is the newest announced digest (DigestAnnounce, DigestAck)
+	// or the PoP target H(b^h_v,t) (ReqChild).
 	Digest digest.Digest
 	// Ref identifies the requested block (GetBlock).
 	Ref block.Ref
-	// Payload carries an encoded header (RpyChild) or block (BlockResp).
+	// Payload carries an encoded header (RpyChild), a block
+	// (BlockResp), or the older digests of an announced run
+	// (DigestAnnounce, DigestAck).
 	Payload []byte
 }
 
-// NewDigestAnnounce builds the digest broadcast of Sec. III-D.
+// NewDigestAnnounce builds the digest broadcast of Sec. III-D for a
+// run of one digest: the one-digest form of NewDigestBatch.
 func NewDigestAnnounce(from, to identity.NodeID, d digest.Digest, nonce uint64) *Message {
 	return &Message{Kind: KindDigestAnnounce, From: from, To: to, Digest: d, Nonce: nonce}
 }
 
-// NewDigestBatch builds one coalesced announcement frame carrying
-// every digest from sealed for neighbor to, in seal order. The Digest
-// field holds the newest digest (the one that ends up in A_i), so a
-// batch of one is wire-equivalent to a DigestAnnounce plus the batch
-// framing.
+// NewDigestBatch builds one announcement frame carrying every digest
+// from sealed for neighbor to, in seal order: the newest in Digest,
+// the older ones in Payload. ds must not be empty.
 func NewDigestBatch(from, to identity.NodeID, ds []digest.Digest, nonce uint64) *Message {
-	payload := make([]byte, 0, len(ds)*digest.Size)
-	for i := range ds {
-		payload = append(payload, ds[i][:]...)
-	}
-	m := &Message{Kind: KindDigestBatch, From: from, To: to, Nonce: nonce, Payload: payload}
-	if len(ds) > 0 {
-		m.Digest = ds[len(ds)-1]
+	last := len(ds) - 1
+	m := NewDigestAnnounce(from, to, ds[last], nonce)
+	if last > 0 {
+		m.Payload = make([]byte, 0, last*digest.Size)
+		for i := range ds[:last] {
+			m.Payload = append(m.Payload, ds[i][:]...)
+		}
 	}
 	return m
 }
@@ -209,40 +209,38 @@ func NewNotFound(req *Message) *Message {
 }
 
 // NewDigestAck acknowledges an ingested announcement frame back to its
-// sender, echoing the Digest field and — for DigestBatch frames — the
-// digest concatenation, so the sender can resolve its acknowledgement
-// wait per carried digest. Receivers ack duplicates too: a lost ack
-// followed by a retried announcement must still converge.
+// sender, echoing its Digest and Payload, so the sender can resolve its
+// acknowledgement wait per carried digest. Receivers ack duplicates
+// too: a lost ack followed by a retried announcement must still
+// converge.
 func NewDigestAck(req *Message) *Message {
-	m := &Message{Kind: KindDigestAck, From: req.To, To: req.From, Nonce: req.Nonce, Digest: req.Digest}
-	if req.Kind == KindDigestBatch && len(req.Payload) > 0 {
-		m.Payload = append([]byte(nil), req.Payload...)
+	return &Message{
+		Kind: KindDigestAck, From: req.To, To: req.From, Nonce: req.Nonce,
+		Digest: req.Digest, Payload: append([]byte(nil), req.Payload...),
 	}
-	return m
 }
 
-// DecodeDigestAckPayload parses the digests a batch ack echoes, in
-// seal order. A singleton ack (empty payload) returns nil — the Digest
-// field alone names the acknowledged digest.
+// DecodeDigestAckPayload returns the run an ack echoes, in seal order,
+// ending in the Digest field.
 func (m *Message) DecodeDigestAckPayload() ([]digest.Digest, error) {
 	if m.Kind != KindDigestAck {
 		return nil, fmt.Errorf("%w: %v carries no digest ack", ErrBadPayload, m.Kind)
 	}
-	if len(m.Payload) == 0 {
-		return nil, nil
-	}
-	return decodeDigestRun(m.Payload)
+	return m.digestRun()
 }
 
-// decodeDigestRun parses a digest concatenation.
-func decodeDigestRun(payload []byte) ([]digest.Digest, error) {
-	if len(payload)%digest.Size != 0 {
-		return nil, fmt.Errorf("%w: digest run of %d bytes", ErrBadPayload, len(payload))
+// digestRun parses the older digests in the payload and appends the
+// newest from the Digest field. The digests are copied out of the
+// payload, so the returned slice outlives the message buffer.
+func (m *Message) digestRun() ([]digest.Digest, error) {
+	if len(m.Payload)%digest.Size != 0 {
+		return nil, fmt.Errorf("%w: digest run of %d bytes", ErrBadPayload, len(m.Payload))
 	}
-	ds := make([]digest.Digest, len(payload)/digest.Size)
-	for i := range ds {
-		copy(ds[i][:], payload[i*digest.Size:])
+	ds := make([]digest.Digest, len(m.Payload)/digest.Size+1)
+	for i := range ds[:len(ds)-1] {
+		copy(ds[i][:], m.Payload[i*digest.Size:])
 	}
+	ds[len(ds)-1] = m.Digest
 	return ds, nil
 }
 
@@ -433,14 +431,13 @@ func NewLeave(from, to identity.NodeID, nonce uint64) *Message {
 	return &Message{Kind: KindLeave, From: from, To: to, Nonce: nonce}
 }
 
-// DecodeDigestBatchPayload parses the digests carried by a
-// DigestBatch, in seal order. The digests are copied out of the
-// payload, so the returned slice outlives the message buffer.
+// DecodeDigestBatchPayload returns the whole run a DigestAnnounce
+// carries, in seal order, ending in the Digest field.
 func (m *Message) DecodeDigestBatchPayload() ([]digest.Digest, error) {
-	if m.Kind != KindDigestBatch {
-		return nil, fmt.Errorf("%w: %v carries no digest batch", ErrBadPayload, m.Kind)
+	if m.Kind != KindDigestAnnounce {
+		return nil, fmt.Errorf("%w: %v carries no digest announcement", ErrBadPayload, m.Kind)
 	}
-	return decodeDigestRun(m.Payload)
+	return m.digestRun()
 }
 
 // DecodeHeaderPayload parses the header carried by a RpyChild.

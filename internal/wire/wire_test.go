@@ -121,6 +121,9 @@ func TestDigestBatchPayload(t *testing.T) {
 	if m.Digest != ds[len(ds)-1] {
 		t.Fatal("batch Digest field must hold the newest digest")
 	}
+	if len(m.Payload) != (len(ds)-1)*digest.Size {
+		t.Fatalf("payload of %d bytes, want the %d older digests", len(m.Payload), len(ds)-1)
+	}
 	back, err := m.DecodeDigestBatchPayload()
 	if err != nil {
 		t.Fatalf("DecodeDigestBatchPayload: %v", err)
@@ -133,11 +136,16 @@ func TestDigestBatchPayload(t *testing.T) {
 			t.Fatalf("digest %d mismatch (seal order must survive the wire)", i)
 		}
 	}
+	// A one-digest announcement is a run of one.
+	one, err := NewDigestAnnounce(1, 2, ds[0], 1).DecodeDigestBatchPayload()
+	if err != nil || len(one) != 1 || one[0] != ds[0] {
+		t.Fatalf("one-digest run: %v, %v", one, err)
+	}
 	// The wrong kind and a payload not a multiple of digest.Size are
 	// both rejected.
-	ann := NewDigestAnnounce(1, 2, ds[0], 1)
-	if _, err := ann.DecodeDigestBatchPayload(); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("batch decode on DIGEST should fail: %v", err)
+	req := NewReqChild(1, 2, ds[0], 1, 1)
+	if _, err := req.DecodeDigestBatchPayload(); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("batch decode on REQ_CHILD should fail: %v", err)
 	}
 	m.Payload = m.Payload[:len(m.Payload)-1]
 	if _, err := m.DecodeDigestBatchPayload(); !errors.Is(err, ErrBadPayload) {
@@ -155,6 +163,27 @@ func TestDecodeRejectsBadKind(t *testing.T) {
 	enc[0] = 99
 	if _, err := Decode(enc); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("want ErrBadKind, got %v", err)
+	}
+	enc[0] = byte(kindRetired)
+	if _, err := Decode(enc); !errors.Is(err, ErrBadKind) {
+		t.Fatalf("retired kind: want ErrBadKind, got %v", err)
+	}
+}
+
+// goldenDigestHex is the frame NewDigestAnnounce(1, 2, digest.Sum("d"),
+// 3) encoded to before announcements of any length shared one kind: a
+// one-digest announcement must keep these bytes.
+const goldenDigestHex = "0101000000020000000000000000000000030000000000000018ac3e7343f016890c510e93f935261169d9e3f565436429830faf0934f4f8e4000000000000000000000000"
+
+func TestGoldenOneDigestAnnouncement(t *testing.T) {
+	d := digest.Sum([]byte("d"))
+	for _, m := range []*Message{
+		NewDigestAnnounce(1, 2, d, 3),
+		NewDigestBatch(1, 2, []digest.Digest{d}, 3),
+	} {
+		if got := hex.EncodeToString(m.Encode()); got != goldenDigestHex {
+			t.Fatalf("one-digest announcement drifted:\ngot  %s\nwant %s", got, goldenDigestHex)
+		}
 	}
 }
 
@@ -196,6 +225,12 @@ func TestKindStringAndPredicates(t *testing.T) {
 // here, not in a log line reading "KIND(11)".
 func TestKindStringExhaustive(t *testing.T) {
 	for k := KindDigestAnnounce; k < kindMax; k++ {
+		if k == kindRetired {
+			if k.Valid() || k.String() != "KIND(7)" {
+				t.Fatalf("retired kind must be invalid and unnamed, got %q", k.String())
+			}
+			continue
+		}
 		if !k.Valid() {
 			t.Fatalf("kind %d inside the enum range reports invalid", k)
 		}
@@ -345,18 +380,18 @@ func TestPeerListPayloadHardening(t *testing.T) {
 }
 
 func TestDigestAckEchoesAnnouncement(t *testing.T) {
-	// Singleton: the ack swaps endpoints and echoes the digest, with no
-	// payload.
+	// A run of one: the ack swaps endpoints and echoes the digest, with
+	// no payload.
 	ann := NewDigestAnnounce(1, 2, digest.Sum([]byte("d")), 3)
 	ack := NewDigestAck(ann)
 	if ack.From != 2 || ack.To != 1 || ack.Digest != ann.Digest || ack.Nonce != 3 || len(ack.Payload) != 0 {
-		t.Fatalf("singleton ack wrong: %+v", ack)
+		t.Fatalf("one-digest ack wrong: %+v", ack)
 	}
-	if ds, err := ack.DecodeDigestAckPayload(); err != nil || ds != nil {
-		t.Fatalf("singleton ack payload: ds=%v err=%v", ds, err)
+	if ds, err := ack.DecodeDigestAckPayload(); err != nil || len(ds) != 1 || ds[0] != ann.Digest {
+		t.Fatalf("one-digest ack run: ds=%v err=%v", ds, err)
 	}
-	// Batch: the ack echoes the digest run so the sender resolves every
-	// carried digest.
+	// A longer run: the ack echoes the whole run so the sender resolves
+	// every carried digest.
 	ds := []digest.Digest{digest.Sum([]byte("a")), digest.Sum([]byte("b"))}
 	back, err := NewDigestAck(NewDigestBatch(1, 2, ds, 4)).DecodeDigestAckPayload()
 	if err != nil {
@@ -378,8 +413,12 @@ func TestDigestAckEchoesAnnouncement(t *testing.T) {
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
+		kind := kindRetired
+		for !kind.Valid() {
+			kind = Kind(r.Intn(int(kindMax)-1) + 1)
+		}
 		m := &Message{
-			Kind:  Kind(r.Intn(int(kindMax)-1) + 1),
+			Kind:  kind,
 			From:  identity.NodeID(r.Uint32()),
 			To:    identity.NodeID(r.Uint32()),
 			Corr:  r.Uint64(),
@@ -408,8 +447,10 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 }
 
 // FuzzDecodeMessage hardens the frame decoder (and the directory
-// payload decoders behind it) against hostile input: no panic, and
-// anything Decode accepts must re-encode to the identical bytes.
+// payload decoders behind it) against hostile input: no panic,
+// anything Decode accepts must re-encode to the identical bytes, and
+// every accepted announcement or ack decodes to a run ending in its
+// Digest field, which the announcement's ack echoes unchanged.
 func FuzzDecodeMessage(f *testing.F) {
 	// Seed corpus: every constructor's valid frame, truncations of a
 	// representative frame, an unknown kind, and ragged directory
@@ -454,9 +495,39 @@ func FuzzDecodeMessage(f *testing.F) {
 		case KindPeerList:
 			_, _ = m.DecodePeerListPayload()
 		case KindDigestAck:
-			_, _ = m.DecodeDigestAckPayload()
-		case KindDigestBatch:
-			_, _ = m.DecodeDigestBatchPayload()
+			checkRun(t, m, m.DecodeDigestAckPayload)
+		case KindDigestAnnounce:
+			run := checkRun(t, m, m.DecodeDigestBatchPayload)
+			back, err := NewDigestAck(m).DecodeDigestAckPayload()
+			if (err == nil) != (run != nil) || len(back) != len(run) {
+				t.Fatalf("ack run of %d digests (%v), frame run of %d", len(back), err, len(run))
+			}
+			for i := range run {
+				if back[i] != run[i] {
+					t.Fatalf("ack run differs from the frame's at %d", i)
+				}
+			}
 		}
 	})
+}
+
+// checkRun decodes m's digest run and checks its shape: the older
+// digests from the payload, then m.Digest. It returns nil when the
+// payload is ragged and the decoder rightly refused it.
+func checkRun(t *testing.T, m *Message, decode func() ([]digest.Digest, error)) []digest.Digest {
+	t.Helper()
+	run, err := decode()
+	if len(m.Payload)%digest.Size != 0 {
+		if !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("ragged %d-byte run accepted: %v", len(m.Payload), err)
+		}
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("run decode: %v", err)
+	}
+	if len(run) != len(m.Payload)/digest.Size+1 || run[len(run)-1] != m.Digest {
+		t.Fatalf("run of %d digests for a %d-byte payload, or not ending in Digest", len(run), len(m.Payload))
+	}
+	return run
 }

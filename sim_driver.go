@@ -61,15 +61,16 @@ func (d *SimDriver) Slot() uint32 { return uint32(d.s.Slot()) }
 // AdvanceSlot implements Runtime.
 func (d *SimDriver) AdvanceSlot() { d.s.AdvanceSlot() }
 
-// Submit implements Runtime. Announcements resolve synchronously
-// in-process, so the call returns with every live neighbor's cache
-// already updated — the simulator's equivalent of the live driver's
-// acknowledgement wait.
+// Submit implements Runtime as a one-item SubmitBatch. Announcements
+// resolve synchronously in-process, so the call returns with every
+// live neighbor's cache already updated — the simulator's equivalent
+// of the live driver's acknowledgement wait.
 func (d *SimDriver) Submit(ctx context.Context, id NodeID, data []byte) (Ref, error) {
-	if err := ctx.Err(); err != nil {
+	refs, err := d.SubmitBatch(ctx, []Submission{{Node: id, Data: data}})
+	if len(refs) == 0 {
 		return Ref{}, err
 	}
-	return d.s.SubmitAs(id, data)
+	return refs[0], err
 }
 
 // SubmitBatch implements Runtime, mirroring the slotted scheduler's
